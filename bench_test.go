@@ -302,10 +302,10 @@ func BenchmarkTypecheck(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblationEval compares the optimized evaluator (negation
-// pushdown + filter joins) against the naive one on an FO formula with
-// an 8-variable universal quantifier — the shape of the Theorem 5
-// well-formedness sentence.
+// BenchmarkAblationEval compares the production evaluator (eval.Eval,
+// a compiled plan: negation pushdown + filter joins) against the naive
+// reference evaluator on an FO formula with an 8-variable universal
+// quantifier — the shape of the Theorem 5 well-formedness sentence.
 func BenchmarkAblationEval(b *testing.B) {
 	s := relation.NewSchema().MustDeclare("R", 4)
 	inst := relation.NewInstance(s)

@@ -55,7 +55,7 @@ type app struct {
 	stdout, stderr io.Writer
 	ctx            context.Context
 	retries        int
-	backoff        supervise.Backoff
+	backoff        runctl.Backoff
 }
 
 func run(args []string, stdout, stderr io.Writer) (code int) {
@@ -89,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		panic(exitCode(2))
 	}
 	a.retries = *retries
-	a.backoff = supervise.Backoff{Base: *backoff}
+	a.backoff = runctl.Backoff{Base: *backoff}
 	faults, err := runctl.ParseInject(*inject)
 	if err != nil {
 		fmt.Fprintln(stderr, "ptstatic:", err)

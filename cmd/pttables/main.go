@@ -105,7 +105,7 @@ func run(args []string, out, errw io.Writer) int {
 			return
 		}
 		ran = true
-		if err := runBlock(name, *retries, supervise.Backoff{Base: *backoff}, f); err != nil {
+		if err := runBlock(name, *retries, runctl.Backoff{Base: *backoff}, f); err != nil {
 			code = exitFor(err)
 		}
 	}
@@ -130,7 +130,7 @@ type blockFailure struct{ err error }
 // runBlock executes one regeneration block under the supervision retry
 // policy: a block that fails transiently (deadline, budget, contained
 // panic) restarts from its beginning.
-func runBlock(name string, retries int, b supervise.Backoff, f func()) error {
+func runBlock(name string, retries int, b runctl.Backoff, f func()) error {
 	attempt := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {

@@ -83,6 +83,19 @@ func TestExitInjectValidation(t *testing.T) {
 	}
 }
 
+// TestExitRetiredPlanFlag: rule queries always run on compiled plans,
+// so the old -plan switch is an unknown flag — a usage error.
+func TestExitRetiredPlanFlag(t *testing.T) {
+	spec, data := specArgs(t, "tau1.pt")
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-spec", spec, "-data", data, "-plan=off"}, &out, &errBuf); code != 2 {
+		t.Fatalf("-plan=off: exit %d, want 2 (stderr: %s)", code, errBuf.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("-plan=off produced output: %q", out.String())
+	}
+}
+
 // TestRetryTransientSucceeds: a transient fault plus -retries recovers
 // to exit 0 with output byte-identical to the fault-free golden file.
 func TestRetryTransientSucceeds(t *testing.T) {

@@ -88,12 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	inject := fs.String("inject", "", "test aid: fail the Nth operation; format op:N:transient|permanent|internal (ops: query, node, eval)")
 	deltaPath := fs.String("delta", "", "replay a delta script (+fact/-fact/commit lines) or a WAL directory/segment through the incremental engine and print the final document")
 	deltaDB := fs.String("db", "", "with -delta on a WAL: replay only this database's records")
-	planFlag := fs.String("plan", "on", "compiled query plans: on or off (off = optimized interpreter, escape hatch)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *planFlag != "on" && *planFlag != "off" {
-		fmt.Fprintf(stderr, "ptxml: bad -plan %q: want on or off\n", *planFlag)
 		return 2
 	}
 	cacheMode, err := pt.ParseCacheMode(*cacheFlag)
@@ -139,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Cache:     cacheMode,
 		CacheSize: *cacheSize,
 		Faults:    faults,
-		NoPlan:    *planFlag == "off",
 	}
 
 	if *deltaPath != "" {
@@ -301,7 +295,7 @@ func runSupervised(tr *pt.Transducer, inst *relation.Instance, opts pt.Options, 
 	sopts := supervise.Options{
 		Run:        opts,
 		Retries:    retries,
-		Backoff:    supervise.Backoff{Base: backoff},
+		Backoff:    runctl.Backoff{Base: backoff},
 		Checkpoint: checkpointPath != "",
 		OnRetry: func(attempt int, err error, next pt.Options) {
 			fmt.Fprintf(stderr, "ptxml: attempt %d failed (%v); retrying\n", attempt, err)

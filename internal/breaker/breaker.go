@@ -24,6 +24,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ptx/internal/runctl"
 )
 
 // State is one circuit-breaker state.
@@ -57,9 +59,9 @@ type Config struct {
 	// MaxCooldown caps the doubling backoff across consecutive opens
 	// (default 8×Cooldown).
 	MaxCooldown time.Duration
-	// Jitter spreads each cooldown by ±fraction (default 0.2) so a
-	// fleet of breakers never probes a recovering peer in phase; Seed
-	// makes the schedule reproducible.
+	// Jitter spreads each cooldown by ±fraction (default 0.2, at most
+	// 1) so a fleet of breakers never probes a recovering peer in
+	// phase; Seed makes the schedule reproducible.
 	Jitter float64
 	Seed   int64
 }
@@ -177,15 +179,8 @@ func (s *Set) Failure(id string) {
 	e.probing = false
 	e.opens++
 	s.opens++
-	cd := s.cfg.Cooldown
-	for i := 1; i < e.opens && cd < s.cfg.MaxCooldown; i++ {
-		cd *= 2
-	}
-	if cd > s.cfg.MaxCooldown {
-		cd = s.cfg.MaxCooldown
-	}
-	cd = time.Duration(float64(cd) * (1 + s.cfg.Jitter*(2*s.rng.Float64()-1)))
-	e.until = time.Now().Add(cd)
+	cd := runctl.Backoff{Base: s.cfg.Cooldown, Max: s.cfg.MaxCooldown, Jitter: s.cfg.Jitter}
+	e.until = time.Now().Add(cd.Delay(e.opens, s.rng))
 }
 
 // State peeks at a peer's current state without transitioning it (the

@@ -180,7 +180,13 @@ type Coordinator struct {
 	pairs   map[string][2]string // seen (spec, db) pairs, for warm hints
 	mutDBs  map[string]bool      // databases that have taken mutations
 	dbSeqs  map[string]uint64    // per-db ACKED sequence high-water marks
-	flights map[string]*coordFlight
+
+	// flights is the coordinator-level singleflight: concurrent
+	// byte-identical requests share one routed execution (and therefore
+	// one worker-side run), so a thundering herd cannot amplify through
+	// the proxy. The shared value is the fully buffered upstream
+	// response.
+	flights serve.Group[upstreamReply]
 
 	// writeMu is the membership write barrier: mutations route under the
 	// read side, joins and up-transitions take the write side while the
@@ -233,7 +239,6 @@ func New(cfg Config) *Coordinator {
 		pairs:      make(map[string][2]string),
 		mutDBs:     make(map[string]bool),
 		dbSeqs:     make(map[string]uint64),
-		flights:    make(map[string]*coordFlight),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		probeDone:  make(chan struct{}),
@@ -550,12 +555,8 @@ func (c *Coordinator) anyUp() bool {
 	return false
 }
 
-// coordFlight is the coordinator-level singleflight: concurrent
-// byte-identical requests share one routed execution (and therefore one
-// worker-side run), so a thundering herd cannot amplify through the
-// proxy. The shared value is the fully buffered upstream response.
-type coordFlight struct {
-	done   chan struct{}
+// upstreamReply is a fully buffered upstream response.
+type upstreamReply struct {
 	status int
 	header http.Header
 	body   []byte
@@ -604,42 +605,35 @@ func (c *Coordinator) handlePublish(w http.ResponseWriter, r *http.Request) {
 		budget = time.Duration(bodyMS) * time.Millisecond
 	}
 
-	c.mu.Lock()
-	if f, ok := c.flights[runKey]; ok {
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			c.deduped.Add(1)
-			c.reply(w, f, true)
-		case <-r.Context().Done():
-			serve.WriteError(w, &runctl.ErrCanceled{Cause: r.Context().Err()})
-		}
+	up, shared, err := c.flights.Do(r.Context(), runKey, func() (upstreamReply, error) {
+		// The leader of a dedup flight forwards under budget+grace: the
+		// worker gets the budget (via the propagated deadline header),
+		// the extra grace covers relaying an answer that was typed at
+		// the wire.
+		ctx, cancel := context.WithDeadline(c.baseCtx, time.Now().Add(budget+c.cfg.DeadlineGrace))
+		defer cancel()
+		var up upstreamReply
+		up.status, up.header, up.body = c.forward(ctx, time.Now().Add(budget), body, runKey)
+		return up, nil
+	})
+	if err != nil {
+		// Only a follower whose own request ended fails here.
+		serve.WriteError(w, err)
 		return
 	}
-	f := &coordFlight{done: make(chan struct{})}
-	c.flights[runKey] = f
-	c.mu.Unlock()
-
-	// The leader of a dedup flight forwards under budget+grace: the
-	// worker gets the budget (via the propagated deadline header), the
-	// extra grace covers relaying an answer that was typed at the wire.
-	ctx, cancel := context.WithDeadline(c.baseCtx, time.Now().Add(budget+c.cfg.DeadlineGrace))
-	f.status, f.header, f.body = c.forward(ctx, time.Now().Add(budget), body, runKey)
-	cancel()
-	c.mu.Lock()
-	delete(c.flights, runKey)
-	c.mu.Unlock()
-	close(f.done)
-	c.reply(w, f, false)
+	if shared {
+		c.deduped.Add(1)
+	}
+	c.reply(w, up, shared)
 }
 
 // reply writes a (possibly shared) buffered upstream response.
-func (c *Coordinator) reply(w http.ResponseWriter, f *coordFlight, shared bool) {
+func (c *Coordinator) reply(w http.ResponseWriter, up upstreamReply, shared bool) {
 	h := w.Header()
-	copyProxyHeaders(h, f.header)
+	copyProxyHeaders(h, up.header)
 	h.Set("X-Ptcoord-Shared", strconv.FormatBool(shared))
-	w.WriteHeader(f.status)
-	_, _ = w.Write(f.body)
+	w.WriteHeader(up.status)
+	_, _ = w.Write(up.body)
 }
 
 // attempt forwards the body to one member, stamping the handoff
@@ -865,7 +859,7 @@ func buffered(err error) (int, http.Header, []byte) {
 }
 
 // recorder is a minimal ResponseWriter for rendering error bodies into
-// a coordFlight without importing httptest outside tests.
+// an upstreamReply without importing httptest outside tests.
 type recorder struct {
 	status int
 	header http.Header

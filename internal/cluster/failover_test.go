@@ -31,11 +31,20 @@ func TestFailoverSingleflightRace(t *testing.T) {
 	}
 	survivor := newTestNode(t, survivorID, store, nil)
 
+	// The victim holds the leader until every herd request has reached
+	// the coordinator: a client goroutine scheduled late (CPU load)
+	// would otherwise arrive after the flight ended and lead a second
+	// one.
+	const herd = 8
+	var arrived sync.WaitGroup
+	arrived.Add(herd)
+
 	var victimHits atomic.Int64
 	victim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/publish":
 			victimHits.Add(1)
+			arrived.Wait()
 			hj, ok := w.(http.Hijacker)
 			if !ok {
 				t.Error("test server does not support hijacking")
@@ -61,13 +70,18 @@ func TestFailoverSingleflightRace(t *testing.T) {
 	if err := coord.Join(survivorID, survivor.url()); err != nil {
 		t.Fatal(err)
 	}
-	cts := httptest.NewServer(coord.Handler())
+	handler := coord.Handler()
+	cts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/publish" {
+			arrived.Done()
+		}
+		handler.ServeHTTP(w, r)
+	}))
 	defer cts.Close()
 
 	want := goldenXML(t)
 	epochBefore := coord.Epoch()
 
-	const herd = 8
 	var wg sync.WaitGroup
 	var shared atomic.Int64
 	for i := 0; i < herd; i++ {

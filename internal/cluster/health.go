@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ptx/internal/breaker"
+	"ptx/internal/runctl"
 )
 
 // probeLoop is the coordinator's health prober: every ProbeInterval
@@ -127,14 +128,8 @@ func (c *Coordinator) probeFailed(id string) {
 	}
 	wasUp := m.up
 	m.up = false
-	backoff := c.cfg.ProbeInterval
-	for i := 1; i < m.fails && backoff < 8*c.cfg.ProbeInterval; i++ {
-		backoff *= 2
-	}
-	if backoff > 8*c.cfg.ProbeInterval {
-		backoff = 8 * c.cfg.ProbeInterval
-	}
-	m.next = time.Now().Add(backoff)
+	backoff := runctl.Backoff{Base: c.cfg.ProbeInterval, Max: 8 * c.cfg.ProbeInterval}
+	m.next = time.Now().Add(backoff.Delay(m.fails, nil))
 	if wasUp {
 		c.epoch.Add(1)
 	}

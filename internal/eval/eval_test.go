@@ -298,6 +298,21 @@ func TestEvalQueryHeadOrder(t *testing.T) {
 	}
 }
 
+// TestEvalQueryRejectsUnvalidatedHead: a query literal built without
+// NewQuery whose head omits a free variable has no meaning as φ(x̄;ȳ),
+// so EvalQuery and the reference evaluator both refuse it instead of
+// silently projecting the variable away.
+func TestEvalQueryRejectsUnvalidatedHead(t *testing.T) {
+	env := NewEnv(graphInstance([2]string{"a", "b"}))
+	q := &logic.Query{GroupVars: []logic.Var{x}, F: logic.R("E", x, y)}
+	if rel, err := EvalQuery(q, env); err == nil {
+		t.Fatalf("EvalQuery accepted a head without free variable y: %s", rel)
+	}
+	if rel, err := EvalQueryNaive(q, env); err == nil {
+		t.Fatalf("EvalQueryNaive accepted a head without free variable y: %s", rel)
+	}
+}
+
 func TestEvalSentenceRejectsFreeVars(t *testing.T) {
 	env := NewEnv(relation.NewInstance(relation.NewSchema().MustDeclare("E", 2)))
 	if _, err := EvalSentence(logic.R("E", x, y), env); err == nil {

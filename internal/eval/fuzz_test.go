@@ -113,11 +113,9 @@ func (d *fuzzDecoder) formula(depth int) logic.Formula {
 
 // FuzzDifferentialEval is the differential oracle of this package: on
 // every decoded (instance, formula) pair, the compiled-plan evaluator
-// (EvalQuery), the optimized interpreter (EvalQuery after
-// WithoutPlanner: NNF + filtered joins), the textbook active-domain
-// evaluator (EvalQueryNaive, ¬ via complement, ∀ via ¬∃¬) and the
-// memoized evaluator (EvalQueryMemo, twice — the second call exercising
-// the hit path) must agree exactly. The grammar includes fixpoints and
+// (EvalQuery), the textbook active-domain evaluator (EvalQueryNaive, ¬
+// via complement, ∀ via ¬∃¬) and the memoized evaluator (EvalQueryMemo,
+// twice — the second call exercising the hit path) must agree exactly. The grammar includes fixpoints and
 // one decode path yields an entirely empty instance.
 func FuzzDifferentialEval(f *testing.F) {
 	f.Add([]byte{})
@@ -145,22 +143,14 @@ func FuzzDifferentialEval(f *testing.F) {
 		opt, err1 := EvalQuery(q, env)
 		naive, err2 := EvalQueryNaive(q, env)
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error mismatch: optimized %v, naive %v on %s", err1, err2, fla)
+			t.Fatalf("error mismatch: plan %v, naive %v on %s", err1, err2, fla)
 		}
 		if err1 != nil {
 			return
 		}
 		if !opt.Equal(naive) {
-			t.Fatalf("optimized and naive disagree on %s\n optimized %s\n naive     %s\n instance %s",
+			t.Fatalf("plan and naive disagree on %s\n plan  %s\n naive %s\n instance %s",
 				fla, opt, naive, inst)
-		}
-		interp, err := EvalQuery(q, env.WithoutPlanner())
-		if err != nil {
-			t.Fatalf("interpreter arm: %v on %s", err, fla)
-		}
-		if !interp.Equal(naive) {
-			t.Fatalf("interpreter and naive disagree on %s\n interp %s\n naive  %s\n instance %s",
-				fla, interp, naive, inst)
 		}
 
 		m := NewMemo(0)

@@ -23,45 +23,41 @@ func wideInstance() *relation.Instance {
 	return inst
 }
 
-// TestConjUncoveredNeqNoBlowup pins the fix for the evalConj fallback:
-// an inequality over a variable no positive conjunct binds used to be
-// materialized as an |adom|² binding set (249,500 tuples here, ~750k
-// allocations) and then joined. It must now expand only the missing
-// variable per current row: 5·500 candidate rows, well under 100k
-// allocations, on both the interpreter and the compiled-plan path.
+// TestConjUncoveredNeqNoBlowup pins the fix for the conjunction
+// fallback: an inequality over a variable no positive conjunct binds
+// used to be materialized as an |adom|² binding set (249,500 tuples
+// here, ~750k allocations) and then joined. It must now expand only the
+// missing variable per current row: 5·500 candidate rows, well under
+// 100k allocations.
 func TestConjUncoveredNeqNoBlowup(t *testing.T) {
 	inst := wideInstance()
 	q := logic.MustQuery(logic.Vars("x"), logic.Vars("y"),
 		logic.Conj(logic.R("A", logic.Var("x")), logic.NeqT(logic.Var("x"), logic.Var("y"))))
-	for name, env := range map[string]*Env{
-		"interpreter": NewEnv(inst).WithoutPlanner(),
-		"plan":        NewEnv(inst),
-	} {
-		t.Run(name, func(t *testing.T) {
-			got, err := EvalQuery(q, env)
-			if err != nil {
+	t.Run("plan", func(t *testing.T) {
+		env := NewEnv(inst)
+		got, err := EvalQuery(q, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 5*499 {
+			t.Fatalf("rows = %d, want %d", got.Len(), 5*499)
+		}
+		want, err := EvalQueryNaive(q, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatal("result differs from naive oracle")
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := EvalQuery(q, env); err != nil {
 				t.Fatal(err)
-			}
-			if got.Len() != 5*499 {
-				t.Fatalf("rows = %d, want %d", got.Len(), 5*499)
-			}
-			want, err := EvalQueryNaive(q, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatal("result differs from naive oracle")
-			}
-			allocs := testing.AllocsPerRun(3, func() {
-				if _, err := EvalQuery(q, env); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 100_000 {
-				t.Fatalf("EvalQuery allocated %.0f objects; the adom² fallback is back", allocs)
 			}
 		})
-	}
+		if allocs > 100_000 {
+			t.Fatalf("EvalQuery allocated %.0f objects; the adom² fallback is back", allocs)
+		}
+	})
 }
 
 // TestConjUncoveredEqBindsDirectly: an equality binding a fresh
@@ -70,7 +66,7 @@ func TestConjUncoveredEqBindsDirectly(t *testing.T) {
 	inst := wideInstance()
 	q := logic.MustQuery(logic.Vars("x"), logic.Vars("y"),
 		logic.Conj(logic.R("A", logic.Var("x")), logic.EqT(logic.Var("y"), logic.Var("x"))))
-	env := NewEnv(inst).WithoutPlanner()
+	env := NewEnv(inst)
 	got, err := EvalQuery(q, env)
 	if err != nil {
 		t.Fatal(err)

@@ -310,10 +310,7 @@ func addPath(rep *Report, path string) {
 // frontier for RestoreStepRun.
 func (v *View) repair(ctx context.Context, dirty map[ruleKey]bool, rep *Report) error {
 	ctl := runctl.New(ctx, runctl.Limits{})
-	base := eval.NewEnv(v.inst).WithControl(ctl)
-	if v.opts.Run.NoPlan {
-		base = base.WithoutPlanner()
-	}
+	base := v.opts.Run.BaseEnv(v.inst, ctl)
 	anc := make(map[string]bool)
 	fresh := make(map[*xmltree.Node]bool)
 	var pending []pt.PendingConfig

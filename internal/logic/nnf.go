@@ -5,8 +5,7 @@ package logic
 // fixpoints. Evaluating the NNF avoids complementing large
 // intermediate relations: a ¬ in front of an 8-variable conjunction
 // costs |adom|⁸ as a complement but only a small anti-join once pushed
-// inward. Both the optimized interpreter (eval) and the compiled-plan
-// layer (plan) compile from NNF.
+// inward. The compiled-plan layer (plan) compiles from NNF.
 func NNF(f Formula) Formula {
 	switch g := f.(type) {
 	case *Not:

@@ -1,9 +1,9 @@
 // Package plan compiles transducer queries (logic.Query) to executable
-// plans. The interpreter in internal/eval walks the formula AST afresh
-// on every evaluation, recomputing variable positions, join layouts and
-// negation rewrites per node visit; a publishing transducer evaluates
-// the same handful of rule queries at thousands to millions of nodes,
-// so this package does that analysis once:
+// plans; it is the production query evaluator behind eval.Eval,
+// eval.EvalSentence and eval.EvalQuery. A publishing transducer
+// evaluates the same handful of rule queries at thousands to millions
+// of nodes, so this package resolves variable positions, join layouts
+// and negation rewrites once per query instead of per evaluation:
 //
 //   - the formula is rewritten to negation normal form and lowered to
 //     an operator tree (scan, conj, union, project, complement,
@@ -23,10 +23,9 @@
 //     of length-prefixed strings, and scans with constant arguments go
 //     through the relation layer's secondary column indexes.
 //
-// Plans are differentially equal to eval.EvalQueryNaive — the fuzz
-// corpora (eval.FuzzDifferentialEval, incr.FuzzIncrementalEval) pin
-// the equivalence — and are wired in behind eval.EvalQuery, with
-// Env.WithoutPlanner as the escape hatch.
+// Plans are differentially equal to eval.EvalQueryNaive, the one
+// reference evaluator — the fuzz corpora (eval.FuzzDifferentialEval,
+// incr.FuzzIncrementalEval) pin the equivalence.
 package plan
 
 import (

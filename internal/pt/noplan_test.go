@@ -7,9 +7,10 @@ import (
 	"ptx/internal/relation"
 )
 
-// TestNoPlanEquivalence: the -plan=off escape hatch (Options.NoPlan)
-// must produce byte-identical documents on a transducer whose rule
-// queries exercise joins, filters and recursion.
+// TestNoPlanEquivalence: a run on the naive reference evaluator
+// (Options.NoPlan) must produce the same document as the compiled-plan
+// run, on a transducer whose rule queries exercise joins, filters and
+// recursion.
 func TestNoPlanEquivalence(t *testing.T) {
 	s := relation.NewSchema().MustDeclare("E", 2)
 	tr := New("t", s, "q0", "r")
@@ -43,11 +44,11 @@ func TestNoPlanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp, err := tr.Output(inst, Options{NoPlan: true})
+	naive, err := tr.Output(inst, Options{NoPlan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, i := planned.Canonical(), interp.Canonical(); p != i {
-		t.Fatalf("NoPlan output differs:\nplan   %s\ninterp %s", p, i)
+	if p, n := planned.Canonical(), naive.Canonical(); p != n {
+		t.Fatalf("NoPlan output differs:\nplan  %s\nnaive %s", p, n)
 	}
 }

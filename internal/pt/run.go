@@ -66,19 +66,18 @@ type Options struct {
 	// cumulative counters, which with a shared memo include other runs'
 	// traffic.
 	Memo *eval.Memo
-	// NoPlan disables the compiled-query-plan fast path: every rule
-	// query runs on the optimized interpreter instead (eval.Env
-	// WithoutPlanner). Escape hatch surfaced as -plan=off in the CLIs;
-	// results are identical either way.
+	// NoPlan runs every rule query on the naive reference evaluator
+	// (eval.EvalQueryNaive) instead of its compiled plan. Results are
+	// identical either way; reference runs use it as an oracle.
 	NoPlan bool
 }
 
-// baseEnv builds the run's root evaluation environment over inst,
-// honoring the NoPlan escape hatch.
-func (o Options) baseEnv(inst *relation.Instance, ctl *runctl.Controller) *eval.Env {
+// BaseEnv builds a run's root evaluation environment over inst: the
+// one place NoPlan maps to an evaluator.
+func (o Options) BaseEnv(inst *relation.Instance, ctl *runctl.Controller) *eval.Env {
 	env := eval.NewEnv(inst).WithControl(ctl)
 	if o.NoPlan {
-		env = env.WithoutPlanner()
+		env = env.WithNaiveEvaluator()
 	}
 	return env
 }
@@ -228,7 +227,7 @@ func (t *Transducer) RunContext(ctx context.Context, inst *relation.Instance, op
 	}
 	r := &runner{
 		t:      t,
-		base:   opts.baseEnv(inst, ctl),
+		base:   opts.BaseEnv(inst, ctl),
 		opts:   opts,
 		ctl:    ctl,
 		cancel: cancel,

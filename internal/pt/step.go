@@ -121,7 +121,7 @@ func (t *Transducer) restore(ctx context.Context, inst *relation.Instance, opts 
 	}
 	s := &StepRun{
 		t:        t,
-		base:     opts.baseEnv(inst, ctl),
+		base:     opts.BaseEnv(inst, ctl),
 		ctl:      ctl,
 		cancel:   cancel,
 		mode:     mode,

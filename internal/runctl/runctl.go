@@ -21,7 +21,10 @@
 //     *ErrInternal instead of killing the process;
 //   - FaultPlan is a test-only deterministic fault injector ("fail the
 //     Nth query") used to prove that errors propagate cleanly through
-//     concurrent expansion.
+//     concurrent expansion;
+//   - Backoff is the one capped exponential backoff with seeded jitter,
+//     shared by supervised retries, circuit breakers and the cluster
+//     health prober.
 //
 // All Controller methods are safe on a nil receiver, which means
 // call sites can thread a controller unconditionally and pay nothing

@@ -202,7 +202,7 @@ type Server struct {
 	cfg     Config
 	reg     *Registry
 	adm     *Admission
-	flights *flightGroup
+	flights Group[flightRun]
 
 	// baseCtx is the lifecycle context publish runs execute under —
 	// detached from any single request, canceled to abort stragglers
@@ -245,7 +245,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		reg:         cfg.Registry,
 		adm:         NewAdmission(cfg.Workers, cfg.Queue),
-		flights:     newFlightGroup(),
 		views:       make(map[string]*liveView),
 		baseCtx:     ctx,
 		baseCancel:  cancel,
@@ -591,8 +590,9 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.admitted.Add(1)
 
-	res, attempts, resumed, shared, err := s.flights.do(reqCtx, adm.key, func() (*pt.Result, int, bool, error) {
-		return s.execute(tr, inst, adm)
+	run, shared, err := s.flights.Do(reqCtx, adm.key, func() (flightRun, error) {
+		res, attempts, resumed, err := s.execute(tr, inst, adm)
+		return flightRun{res, attempts, resumed}, err
 	})
 	if shared {
 		s.deduped.Add(1)
@@ -603,13 +603,14 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.succeeded.Add(1)
+	res := run.res
 
 	h := w.Header()
 	h.Set("Content-Type", "application/xml; charset=utf-8")
-	h.Set("X-Ptserve-Attempts", strconv.Itoa(attempts))
+	h.Set("X-Ptserve-Attempts", strconv.Itoa(run.attempts))
 	h.Set("X-Ptserve-Shared", strconv.FormatBool(shared))
 	if adm.runKey != "" {
-		h.Set("X-Ptserve-Resumed", strconv.FormatBool(resumed))
+		h.Set("X-Ptserve-Resumed", strconv.FormatBool(run.resumed))
 	}
 	h.Set("X-Ptserve-Nodes", strconv.Itoa(res.Stats.Nodes))
 	h.Set("X-Ptserve-Queries", strconv.Itoa(res.Stats.QueriesRun))
@@ -625,6 +626,20 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	} else {
 		_ = res.Xi.WriteXMLVirtual(w, tr.Virtual)
 	}
+}
+
+// flightRun is the outcome of one publish run, shared by every
+// identical in-flight request (Server.flights). The shared value is the
+// raw *pt.Result: serialization stays per request (writers are
+// read-only over the tree, and duplicates may ask for different
+// renderings). The leader runs under the server's lifecycle context,
+// not its own request's, so one impatient client disconnecting cannot
+// poison the result for the followers; each follower still honors its
+// own deadline.
+type flightRun struct {
+	res      *pt.Result
+	attempts int
+	resumed  bool
 }
 
 // execute runs one admitted publish under the server's lifecycle
@@ -644,7 +659,7 @@ func (s *Server) execute(tr *pt.Transducer, inst *relation.Instance, adm *admitt
 	sopts := supervise.Options{
 		Run:        adm.opts,
 		Retries:    adm.retries,
-		Backoff:    supervise.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
+		Backoff:    runctl.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
 		Checkpoint: s.cfg.CheckpointDir != "",
 	}
 	res, rep, err := supervise.Run(s.baseCtx, tr, inst, sopts)
@@ -687,7 +702,7 @@ func (s *Server) executeHandoff(tr *pt.Transducer, inst *relation.Instance, adm 
 	sopts := supervise.Options{
 		Run:             adm.opts,
 		Retries:         adm.retries,
-		Backoff:         supervise.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
+		Backoff:         runctl.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond},
 		Checkpoint:      true,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		OnCheckpoint: func(ck *supervise.Snapshot) error {

@@ -4,62 +4,53 @@ import (
 	"context"
 	"sync"
 
-	"ptx/internal/pt"
 	"ptx/internal/runctl"
 )
 
-// flightGroup deduplicates identical in-flight publish runs: while a
-// (spec, db, options) run is executing, later arrivals for the same key
+// Group deduplicates identical in-flight calls: while the call for a
+// key (the leader) runs, later callers for the same key (followers)
 // wait for its result instead of repeating the work, so a thundering
-// herd on one view costs one transformation. The shared value is the
-// raw *pt.Result — serialization stays per-request (writers are
-// read-only over the tree, and canonical-vs-XML rendering may differ
-// between duplicates of one run).
-//
-// The leader executes under the SERVER's lifecycle context, not its own
-// request's, so one impatient client disconnecting cannot poison the
-// result for the followers; each waiter still honors its own deadline
-// while waiting.
-type flightGroup struct {
+// herd on one key costs one execution. The server shares one publish
+// run per (spec, db, options); the cluster coordinator shares one
+// routed upstream response per request body. The zero value is ready
+// to use.
+type Group[T any] struct {
 	mu sync.Mutex
-	m  map[string]*flight
+	m  map[string]*call[T]
 }
 
-type flight struct {
-	done     chan struct{} // closed when the leader finishes
-	res      *pt.Result
-	attempts int
-	resumed  bool
-	err      error
+type call[T any] struct {
+	done chan struct{} // closed when the leader finishes
+	val  T
+	err  error
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[string]*flight)}
-}
-
-// do runs fn for key, or waits for the in-flight execution of the same
-// key. shared reports whether this caller was a follower. A follower
-// whose ctx expires stops waiting with a typed *runctl.ErrCanceled; the
-// leader's run is unaffected.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*pt.Result, int, bool, error)) (res *pt.Result, attempts int, resumed, shared bool, err error) {
+// Do runs fn for key, or waits for the in-flight call of the same key.
+// shared reports whether this caller was a follower. A follower whose
+// ctx expires stops waiting with a typed *runctl.ErrCanceled; the
+// leader's call is unaffected.
+func (g *Group[T]) Do(ctx context.Context, key string, fn func() (T, error)) (v T, shared bool, err error) {
 	g.mu.Lock()
-	if f, ok := g.m[key]; ok {
+	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		select {
-		case <-f.done:
-			return f.res, f.attempts, f.resumed, true, f.err
+		case <-c.done:
+			return c.val, true, c.err
 		case <-ctx.Done():
-			return nil, 0, false, true, &runctl.ErrCanceled{Cause: ctx.Err()}
+			return v, true, &runctl.ErrCanceled{Cause: ctx.Err()}
 		}
 	}
-	f := &flight{done: make(chan struct{})}
-	g.m[key] = f
+	if g.m == nil {
+		g.m = make(map[string]*call[T])
+	}
+	c := &call[T]{done: make(chan struct{})}
+	g.m[key] = c
 	g.mu.Unlock()
 
-	f.res, f.attempts, f.resumed, f.err = fn()
+	c.val, c.err = fn()
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
-	close(f.done)
-	return f.res, f.attempts, f.resumed, false, f.err
+	close(c.done)
+	return c.val, false, c.err
 }

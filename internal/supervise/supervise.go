@@ -21,49 +21,6 @@ import (
 	"ptx/internal/xmltree"
 )
 
-// Backoff shapes the delay between attempts: capped exponential with
-// deterministic seeded jitter, so a whole retry schedule is
-// reproducible from one integer (the same discipline FaultPlan uses for
-// fault schedules).
-type Backoff struct {
-	Base   time.Duration // first delay; default 10ms
-	Max    time.Duration // cap; default 2s
-	Factor float64       // growth per attempt; default 2
-	Jitter float64       // ± fraction of the delay; default 0 (none)
-	Seed   int64         // jitter PRNG seed
-}
-
-// delay returns the wait before retry number n (1-based).
-func (b Backoff) delay(n int, rng *rand.Rand) time.Duration {
-	base, max, factor := b.Base, b.Max, b.Factor
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	if factor < 1 {
-		factor = 2
-	}
-	d := float64(base)
-	for i := 1; i < n; i++ {
-		d *= factor
-		if d >= float64(max) {
-			break
-		}
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
-	if j := b.Jitter; j > 0 {
-		if j > 1 {
-			j = 1
-		}
-		d *= 1 + j*(2*rng.Float64()-1)
-	}
-	return time.Duration(d)
-}
-
 // Options configures a supervised run.
 type Options struct {
 	// Run is the per-attempt transducer configuration. Budgets are FRESH
@@ -77,7 +34,7 @@ type Options struct {
 	Retries int
 
 	// Backoff shapes the inter-attempt delay.
-	Backoff Backoff
+	Backoff runctl.Backoff
 
 	// Checkpoint captures a Snapshot of the failure frontier into
 	// Report.Snapshot whenever an attempt fails, so callers can persist
@@ -212,7 +169,7 @@ func Output(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o O
 // cheap to restart from scratch and has no checkpointable state (the
 // CLI decision procedures). f receives the 1-based attempt number; the
 // returned attempt count is how many times f ran.
-func Retry(ctx context.Context, retries int, b Backoff, sleep func(time.Duration), f func(attempt int) error) (int, error) {
+func Retry(ctx context.Context, retries int, b runctl.Backoff, sleep func(time.Duration), f func(attempt int) error) (int, error) {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
@@ -225,7 +182,7 @@ func Retry(ctx context.Context, retries int, b Backoff, sleep func(time.Duration
 		if attempt > retries || !Retryable(err) || (ctx != nil && ctx.Err() != nil) {
 			return attempt, err
 		}
-		sleep(b.delay(attempt, rng))
+		sleep(b.Delay(attempt, rng))
 	}
 }
 
@@ -296,7 +253,7 @@ func loop(ctx context.Context, tr *pt.Transducer, inst *relation.Instance, o Opt
 			o.OnRetry(attempt, runErr, next)
 		}
 		cur = next
-		sleep(o.Backoff.delay(attempt, rng))
+		sleep(o.Backoff.Delay(attempt, rng))
 	}
 }
 

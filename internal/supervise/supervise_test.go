@@ -313,7 +313,7 @@ func TestBackoffDeterministic(t *testing.T) {
 		supervise.Run(context.Background(), tr, inst, supervise.Options{
 			Run:     pt.Options{Faults: plan},
 			Retries: 30,
-			Backoff: supervise.Backoff{Base: time.Millisecond, Max: 16 * time.Millisecond, Factor: 2, Jitter: 0.5, Seed: seed},
+			Backoff: runctl.Backoff{Base: time.Millisecond, Max: 16 * time.Millisecond, Factor: 2, Jitter: 0.5, Seed: seed},
 			Sleep:   noSleep(&delays),
 		})
 		return delays
