@@ -166,6 +166,27 @@ func TestSubtreeSharingReducesQueries(t *testing.T) {
 	}
 }
 
+// TestSubtreeSharingGoldenStats pins how much a serial CacheSubtrees run
+// shares, not just that it shares: a runner that quietly re-expands
+// subtrees it could have attached still passes the ≥5× bound above but
+// changes these counts. The values were recorded from the recursive
+// runner the frontier stepper replaced.
+func TestSubtreeSharingGoldenStats(t *testing.T) {
+	for _, c := range []struct {
+		f                                    fixture
+		queries, subtreesShared, nodesShared int
+	}{
+		{fixture{name: "unfold-diamond-10", tr: families.UnfoldTransducer(), inst: families.DiamondChain(10)}, 32, 38, 16228},
+		{fixture{name: "counter-2", tr: families.CounterTransducer(), inst: families.CounterInstance(2)}, 6, 2, 156},
+	} {
+		_, st := output(t, c.f, pt.Options{Cache: pt.CacheSubtrees})
+		if st.QueriesRun != c.queries || st.SubtreesShared != c.subtreesShared || st.NodesShared != c.nodesShared {
+			t.Errorf("%s: (QueriesRun, SubtreesShared, NodesShared) = (%d, %d, %d), want (%d, %d, %d)",
+				c.f.name, st.QueriesRun, st.SubtreesShared, st.NodesShared, c.queries, c.subtreesShared, c.nodesShared)
+		}
+	}
+}
+
 // TestCacheFaultDoesNotPoison injects deterministic query faults into
 // cached runs: the faulted run must fail with the injected error as root
 // cause, and a fresh cached run afterwards must still produce the

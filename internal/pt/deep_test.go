@@ -1,13 +1,17 @@
 package pt
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"ptx/internal/logic"
 	"ptx/internal/relation"
+	"ptx/internal/runctl"
+	"ptx/internal/testutil"
 	"ptx/internal/xmltree"
 )
 
@@ -70,7 +74,8 @@ func TestDeepChainMillion(t *testing.T) {
 // TestDeepChainCacheModesAgree: the deep regime must be byte-identical
 // and stats-identical across all cache modes, including subtree sharing
 // (whose dependency sets overflow on a long chain and must degrade
-// gracefully to "don't cache", never to wrong output).
+// gracefully to "don't cache", never to wrong output), serial and with
+// parallel workers.
 func TestDeepChainCacheModesAgree(t *testing.T) {
 	n := 100_000
 	if raceEnabled {
@@ -85,20 +90,23 @@ func TestDeepChainCacheModesAgree(t *testing.T) {
 		depth int
 	}
 	var base *outcome
-	for _, mode := range []CacheMode{CacheOff, CacheQueries, CacheSubtrees} {
-		res, err := tr.Run(inst, Options{Cache: mode})
+	for _, opts := range []Options{
+		{Cache: CacheOff}, {Cache: CacheQueries}, {Cache: CacheSubtrees},
+		{Cache: CacheSubtrees, Workers: 4},
+	} {
+		res, err := tr.Run(inst, opts)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%+v: %v", opts, err)
 		}
-		if res.Stats.CacheMode != mode {
-			t.Fatalf("effective mode = %v, want %v", res.Stats.CacheMode, mode)
+		if res.Stats.CacheMode != opts.Cache {
+			t.Fatalf("effective mode = %v, want %v", res.Stats.CacheMode, opts.Cache)
 		}
-		rel, err := tr.OutputRelation(inst, "a", Options{Cache: mode})
+		rel, err := tr.OutputRelation(inst, "a", opts)
 		if err != nil {
-			t.Fatalf("%v: OutputRelation: %v", mode, err)
+			t.Fatalf("%+v: OutputRelation: %v", opts, err)
 		}
 		if rel.Len() != 1 {
-			t.Fatalf("%v: output relation size = %d, want 1", mode, rel.Len())
+			t.Fatalf("%+v: output relation size = %d, want 1", opts, rel.Len())
 		}
 		o := &outcome{
 			canon: res.Xi.Publish(tr.Virtual).Canonical(),
@@ -110,11 +118,11 @@ func TestDeepChainCacheModesAgree(t *testing.T) {
 			continue
 		}
 		if o.canon != base.canon {
-			t.Errorf("%v: canonical output differs from CacheOff", mode)
+			t.Errorf("%+v: canonical output differs from CacheOff", opts)
 		}
 		if o.nodes != base.nodes || o.depth != base.depth {
-			t.Errorf("%v: stats (%d,%d) differ from CacheOff (%d,%d)",
-				mode, o.nodes, o.depth, base.nodes, base.depth)
+			t.Errorf("%+v: stats (%d,%d) differ from CacheOff (%d,%d)",
+				opts, o.nodes, o.depth, base.nodes, base.depth)
 		}
 	}
 }
@@ -170,4 +178,32 @@ func TestGroupByPrefixArityGuard(t *testing.T) {
 	if ge.GroupVars != 2 || ge.Arity != 1 {
 		t.Fatalf("GroupArityError = %+v, want {2 1}", ge)
 	}
+}
+
+// TestWorkerPanicContained: a panic on a forked worker's frontier comes
+// back from the run as a *runctl.ErrInternal instead of killing the
+// process, and the worker has exited by the time the run returns.
+func TestWorkerPanicContained(t *testing.T) {
+	tr := simple()
+	inst := relation.NewInstance(unarySchema())
+	for _, v := range []string{"1", "2", "3"} {
+		inst.Add("R1", v)
+	}
+	base := runtime.NumGoroutine()
+	s, err := tr.start(context.Background(), inst, Options{Workers: 4}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.step(); err != nil { // the root fans out into three children
+		t.Fatal(err)
+	}
+	// The first child forked gets no register, so its worker panics.
+	s.frontier[len(s.frontier)-1].node.Reg = nil
+	err = s.drain()
+	var ie *runctl.ErrInternal
+	if !errors.As(err, &ie) {
+		t.Fatalf("got %v, want *runctl.ErrInternal", err)
+	}
+	testutil.SettledGoroutines(t, base)
 }

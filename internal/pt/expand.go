@@ -5,6 +5,7 @@ import (
 
 	"ptx/internal/eval"
 	"ptx/internal/relation"
+	"ptx/internal/runctl"
 )
 
 // ChildSpec is one ordered child a configuration generates: the exact
@@ -23,6 +24,18 @@ type ChildSpec struct {
 // the rule, which is what incremental repair needs when it re-derives
 // the children of a node whose rule queries read a mutated relation.
 func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo) ([]ChildSpec, int, error) {
+	return t.ruleStep(state, tag, reg, base, memo, nil)
+}
+
+// ruleStep is the one rule step of the paper's ⇒ relation: it evaluates
+// the rule of configuration (state, tag, reg) into its ordered child
+// specs and reports how many queries it evaluated. A memo hit is shared
+// by reference and was stored only after a successful evaluation, so it
+// charges neither ctl's query budget nor its fault plan; a miss charges
+// ctl (nil imposes nothing), evaluates, and stores the result. Storing
+// before the caller commits the step is sound: determinism makes the
+// entry valid whether or not the step completes.
+func (t *Transducer) ruleStep(state, tag string, reg *relation.Relation, base *eval.Env, memo *eval.Memo, ctl *runctl.Controller) ([]ChildSpec, int, error) {
 	rule, ok := t.Rule(state, tag)
 	if !ok || len(rule.Items) == 0 {
 		return nil, 0, nil
@@ -37,11 +50,12 @@ func (t *Transducer) ExpandConfig(state, tag string, reg *relation.Relation, bas
 	for _, it := range rule.Items {
 		var result *relation.Relation
 		if memo != nil {
-			if rel, ok := memo.Get(it.Query, regFP); ok {
-				result = rel
-			}
+			result, _ = memo.Get(it.Query, regFP)
 		}
 		if result == nil {
+			if err := ctl.Query(); err != nil {
+				return nil, queries, err
+			}
 			queries++
 			rel, err := eval.EvalQuery(it.Query, env)
 			if err != nil {

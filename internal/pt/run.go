@@ -3,9 +3,7 @@ package pt
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ptx/internal/eval"
 	"ptx/internal/relation"
@@ -28,11 +26,14 @@ type Options struct {
 	// register grows along a path, so the ancestor stop condition may
 	// fire only after exponentially many levels.
 	MaxDepth int
-	// Workers > 1 expands independent subtrees concurrently. The output
-	// is identical to the sequential run: each subtree is uniquely
-	// determined by its root's (state, tag, register) and the database
-	// (the paper's determinism argument), and children are ordered
-	// before recursion.
+	// Workers > 1 lets RunContext fan out at branching nodes: a child
+	// that gets one of Workers semaphore slots is drained on a private
+	// frontier in its own goroutine, the rest stay on the parent's
+	// frontier. The output is identical to the sequential run: each
+	// subtree is uniquely determined by its root's (state, tag,
+	// register) and the database (the paper's determinism argument), and
+	// children are ordered before they are expanded. The stepwise API
+	// ignores it (see StepRun).
 	Workers int
 	// Limits optionally carries the full run-control limit set (wall
 	// clock, query and fixpoint-iteration budgets). The MaxNodes and
@@ -127,10 +128,14 @@ type Result struct {
 // from either package with errors.As.
 type ErrBudget = runctl.ErrBudget
 
+// runner is the state one run shares across its frontiers: the
+// controller and its cancellation, the effective cache mode and caches,
+// and the worker semaphore. A stepwise run has one frontier; RunContext
+// with Workers > 1 drains forked subtrees on private frontiers that
+// share this runner.
 type runner struct {
 	t    *Transducer
 	base *eval.Env
-	opts Options
 	ctl  *runctl.Controller
 
 	// cancel tears down the run-scoped context; fail invokes it so that
@@ -139,57 +144,78 @@ type runner struct {
 	failOnce sync.Once
 	firstErr error
 
-	queries atomic.Int64
-	stops   atomic.Int64
-	sem     chan struct{}
-
 	// mode is the effective cache mode after the subtree→query
-	// downgrade; memo and subtrees are nil below the corresponding mode.
-	mode        CacheMode
-	memo        *eval.Memo
-	subtrees    *subtreeCache
-	nodesShared atomic.Int64
+	// downgrade; memo and subtrees are nil below the corresponding mode,
+	// and sem is nil for a serial run.
+	mode     CacheMode
+	memo     *eval.Memo
+	subtrees *subtreeCache
+	sem      chan struct{}
 }
 
 // fail records the first error of the run and cancels the run context
-// so concurrent siblings stop early. It returns err for convenience.
+// so concurrent siblings stop early. It returns that first error — the
+// root cause, which derived cancellations in sibling branches never
+// mask.
 func (r *runner) fail(err error) error {
 	r.failOnce.Do(func() {
 		r.firstErr = err
 		r.cancel()
 	})
-	return err
+	return r.firstErr
 }
 
-// cause returns the error that actually stopped the run: the first
-// recorded failure if any, else the error bubbled up by expansion.
-// Derived cancellations in sibling branches never mask the root cause.
-func (r *runner) cause(err error) error {
-	if r.firstErr != nil {
-		return r.firstErr
+// newRunner is the one run setup behind RunContext and the stepwise
+// API: it derives the limits, the run context (with its deadline), the
+// controller, the effective cache mode and the memo. A stepwise run is
+// serial and caps the cache at CacheQueries (see StepRun). Otherwise
+// subtree sharing downgrades to CacheQueries only when the run bounds
+// the tree, because sharing skips per-node budget accounting. Virtual
+// tags never force a downgrade: the output path splices them at
+// emission (WriteXMLVirtual/Publish) instead of mutating ξ.
+func (t *Transducer) newRunner(ctx context.Context, inst *relation.Instance, opts Options, stepwise bool) *runner {
+	limits := opts.limits()
+	ctx, cancelT := limits.WithTimeout(ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	ctl := runctl.New(ctx, limits).WithFaults(opts.Faults)
+	r := &runner{
+		t:      t,
+		base:   opts.BaseEnv(inst, ctl),
+		ctl:    ctl,
+		cancel: func() { cancel(); cancelT() },
+		mode:   opts.Cache,
 	}
-	return err
+	if r.mode == CacheSubtrees && (stepwise || limits.BoundsTree()) {
+		r.mode = CacheQueries
+	}
+	if r.mode >= CacheQueries {
+		r.memo = opts.Memo
+		if r.memo == nil {
+			r.memo = eval.NewMemo(opts.CacheSize)
+		}
+	}
+	if r.mode == CacheSubtrees {
+		r.subtrees = newSubtreeCache(opts.CacheSize)
+	}
+	if !stepwise && opts.Workers > 1 {
+		r.sem = make(chan struct{}, opts.Workers)
+	}
+	return r
 }
 
-// ancKey identifies a (state, tag, register) configuration, used both
-// for the ancestor stop condition and as the cache key for subtree
-// sharing. The register component is relation.Key: canonical and
+// ConfigKey identifies a (state, tag, register) configuration: it keys
+// the ancestor stop condition, subtree sharing, and incremental repair
+// (internal/incr), which reuses an old subtree whenever its key
+// survives a delta unchanged. By determinism (Proposition 1(1)) it
+// completely identifies the subtree a configuration generates over a
+// fixed database. The register component is relation.Key: canonical and
 // order-insensitive (registers are sets), so two nodes that reach the
 // same set of tuples by different evaluation orders share one
 // configuration. Sibling ORDER is unaffected — it is fixed by the
 // domain order on group prefixes at grouping time (see groupByPrefix),
 // before configurations are ever compared.
-func ancKey(state, tag string, reg *relation.Relation) string {
-	return state + "\x00" + tag + "\x00" + reg.Key()
-}
-
-// ConfigKey is the exported form of the configuration key: by
-// determinism (Proposition 1(1)) it completely identifies the subtree a
-// configuration generates over a fixed database, which is what lets
-// incremental repair (internal/incr) reuse an old subtree whenever the
-// key survives a delta unchanged.
 func ConfigKey(state, tag string, reg *relation.Relation) string {
-	return ancKey(state, tag, reg)
+	return state + "\x00" + tag + "\x00" + reg.Key()
 }
 
 // Run executes the τ-transformation on inst and returns the final tree
@@ -200,89 +226,27 @@ func (t *Transducer) Run(inst *relation.Instance, opts Options) (*Result, error)
 }
 
 // RunContext executes the τ-transformation under ctx and the limits in
-// opts. Cancellation (and the Limits.Timeout deadline) is observed
-// between rule-query evaluations, inside quantifier expansion and
-// inside IFP fixpoint loops; on any failure all in-flight sibling
-// expansions are abandoned. Errors are runctl-typed: *runctl.ErrCanceled
-// for cancellation/deadline, *runctl.ErrBudget for exhausted budgets,
-// *runctl.ErrInternal for contained panics.
+// opts. It drives the same frontier stepper as StepRun to empty, adding
+// the two features the stepwise API leaves out: CacheSubtrees shares
+// whole subtrees, and Workers > 1 drains subtrees concurrently; the
+// output is the same tree either way. Cancellation (and the
+// Limits.Timeout deadline) is observed between rule-query evaluations,
+// inside quantifier expansion and inside IFP fixpoint loops; on any
+// failure all in-flight sibling expansions are abandoned. Errors are
+// runctl-typed: *runctl.ErrCanceled for cancellation/deadline,
+// *runctl.ErrBudget for exhausted budgets, *runctl.ErrInternal for
+// contained panics.
 func (t *Transducer) RunContext(ctx context.Context, inst *relation.Instance, opts Options) (res *Result, err error) {
 	defer runctl.Recover(&err, "pt.Run")
-	if err := t.Validate(); err != nil {
+	s, err := t.start(ctx, inst, opts, false)
+	if err != nil {
 		return nil, err
 	}
-	limits := opts.limits()
-	ctx, cancelT := limits.WithTimeout(ctx)
-	defer cancelT()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ctl := runctl.New(runCtx, limits).WithFaults(opts.Faults)
-	mode := opts.Cache
-	if mode == CacheSubtrees && limits.BoundsTree() {
-		// Subtree sharing skips per-node budget accounting; degrade to
-		// the work-level cache so budgets stay exact. Virtual tags no
-		// longer force a downgrade: the output path splices them at
-		// emission (WriteXMLVirtual/Publish) instead of mutating ξ.
-		mode = CacheQueries
+	defer s.Close()
+	if err := s.drain(); err != nil {
+		return nil, err
 	}
-	r := &runner{
-		t:      t,
-		base:   opts.BaseEnv(inst, ctl),
-		opts:   opts,
-		ctl:    ctl,
-		cancel: cancel,
-		mode:   mode,
-	}
-	if mode >= CacheQueries {
-		if opts.Memo != nil {
-			r.memo = opts.Memo
-		} else {
-			r.memo = eval.NewMemo(opts.CacheSize)
-		}
-	}
-	if mode == CacheSubtrees {
-		r.subtrees = newSubtreeCache(opts.CacheSize)
-	}
-	if opts.Workers > 1 {
-		r.sem = make(chan struct{}, opts.Workers)
-	}
-	root := &xmltree.Node{Tag: t.RootTag, State: t.Start, Reg: relation.New(0)}
-	ancestors := map[string]bool{}
-	var rootDeps *subdeps
-	if mode == CacheSubtrees {
-		rootDeps = &subdeps{}
-	}
-	if err := r.expand(root, ancestors, true, 1, rootDeps); err != nil {
-		return nil, r.cause(err)
-	}
-	tree := &xmltree.Tree{Root: root}
-	stats := Stats{
-		QueriesRun:   int(r.queries.Load()),
-		StopsApplied: int(r.stops.Load()),
-		CacheMode:    mode,
-	}
-	if mode == CacheSubtrees {
-		// ξ may be a DAG whose unfolding is exponentially larger than its
-		// physical size; the expansion summarized the logical tree as it
-		// went, so walking it here is both wrong and unaffordable.
-		stats.Nodes = rootDeps.size
-		stats.MaxDepth = rootDeps.height
-	} else {
-		stats.Nodes = tree.Size()
-		stats.MaxDepth = tree.Depth()
-	}
-	if r.memo != nil {
-		h, m, e := r.memo.Stats()
-		stats.CacheHits = int(h)
-		stats.CacheMisses = int(m)
-		stats.CacheEvictions = int(e)
-	}
-	if r.subtrees != nil {
-		stats.SubtreesShared = int(r.subtrees.hits.Load())
-		stats.NodesShared = int(r.nodesShared.Load())
-		stats.CacheEvictions += int(r.subtrees.evictions.Load())
-	}
-	return &Result{Xi: tree, Stats: stats}, nil
+	return s.Result()
 }
 
 // Output executes the transformation and returns the output Σ-tree τ(I):
@@ -338,303 +302,6 @@ func (t *Transducer) OutputRelationContext(ctx context.Context, inst *relation.I
 	return out, nil
 }
 
-// expand realizes the step relation ⇒ repeatedly below node n, whose
-// (State, Tag, Reg) describe its current (q, a) labeling and register.
-// ancestors maps ancKey → true for every proper ancestor configuration
-// on the path from the root (the stop condition of Section 3). own
-// reports whether this call is the sole referent of the ancestors map
-// and may therefore extend it in place; when false the map may be
-// shared with siblings (or a concurrent worker) and is copied before
-// the first extension.
-//
-// Single-child steps — the shape of the exponentially deep chains that
-// Proposition 1(4) licenses — are a LOOP, not a recursion: the node is
-// finalized, its configuration is pushed on a spine of pending
-// cache-insertions, and expansion descends in place. Combined with the
-// in-place ancestor extension this makes a depth-d chain cost O(d)
-// total (the recursive formulation paid O(d) stack frames and O(d²)
-// ancestor-map copying). Branching nodes still recurse per child, so
-// the Go stack depth is bounded by the number of BRANCHING ancestors,
-// not by tree depth.
-//
-// dp, non-nil exactly in CacheSubtrees mode, is the caller's dependency
-// accumulator: this call merges into it the summary (logical size,
-// height, stop count, outer ancestor-set dependencies) of the subtree
-// rooted at n. See subdeps for the validity argument.
-//
-// Every error path goes through r.fail so that concurrent siblings see
-// the run context canceled and abandon their subtrees; nothing is ever
-// inserted into a cache on an error path (the pending spine is dropped
-// on error for the same reason).
-func (r *runner) expand(n *xmltree.Node, ancestors map[string]bool, own bool, depth int, dp *subdeps) error {
-	// spine records single-child ancestors of the current node whose
-	// finish (subtree-cache insertion + summary promotion) is pending
-	// until their chain bottoms out; unwound deepest-first so each
-	// node's summary reaches its parent's accumulator.
-	type pendingFinish struct {
-		n   *xmltree.Node
-		key string
-		cd  *subdeps
-		dp  *subdeps
-	}
-	var spine []pendingFinish
-	unwind := func() error {
-		for i := len(spine) - 1; i >= 0; i-- {
-			p := spine[i]
-			if err := r.finish(p.n, p.key, p.cd, p.dp); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for {
-		if err := r.ctl.Canceled(); err != nil {
-			return r.fail(err)
-		}
-		if err := r.ctl.Depth(depth); err != nil {
-			return r.fail(err)
-		}
-
-		// Text nodes finalize immediately, carrying the string rendering
-		// of their register.
-		if n.Tag == xmltree.TextTag {
-			n.Text = xmltree.TextOfRegister(n.Reg)
-			n.State = ""
-			dp.addLeaf("")
-			return unwind()
-		}
-
-		// Stop condition (1): an ancestor repeats state, tag and register.
-		key := ancKey(n.State, n.Tag, n.Reg)
-		if ancestors[key] {
-			r.stops.Add(1)
-			n.State = ""
-			dp.addStop(key)
-			return unwind()
-		}
-
-		// Subtree sharing: if this configuration was fully expanded
-		// before and its recorded stop-condition dependencies resolve
-		// identically under the current ancestor set, reuse the
-		// expansion by reference. Determinism (Proposition 1) guarantees
-		// the unfolding is exactly the tree this call would have built.
-		if r.subtrees != nil {
-			if e, ok := r.subtrees.lookup(key, ancestors); ok {
-				n.Children = e.children
-				n.State = ""
-				r.stops.Add(int64(e.stops))
-				r.nodesShared.Add(int64(e.size - 1))
-				dp.addEntry(e)
-				return unwind()
-			}
-		}
-
-		rule, ok := r.t.Rule(n.State, n.Tag)
-		if !ok || len(rule.Items) == 0 {
-			// Empty right-hand side: finalize.
-			n.State = ""
-			dp.addLeaf(key)
-			return unwind()
-		}
-
-		env := r.base.WithRelation(RegRel, n.Reg)
-		var regFP string
-		if r.memo != nil {
-			regFP = n.Reg.Key()
-		}
-		type childSpec struct {
-			state string
-			tag   string
-			reg   *relation.Relation
-		}
-		var specs []childSpec
-		for _, it := range rule.Items {
-			var result *relation.Relation
-			if r.memo != nil {
-				if rel, ok := r.memo.Get(it.Query, regFP); ok {
-					// Memo hit: the result is shared by reference and was
-					// stored only after a successful evaluation, so neither
-					// the query budget nor the fault plan is charged.
-					result = rel
-				}
-			}
-			if result == nil {
-				if err := r.ctl.Query(); err != nil {
-					return r.fail(err)
-				}
-				r.queries.Add(1)
-				rel, err := eval.EvalQuery(it.Query, env)
-				if err != nil {
-					return r.fail(fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-						r.t.Name, rule.State, rule.Tag, it.State, it.Tag, err))
-				}
-				if r.memo != nil {
-					r.memo.Put(it.Query, regFP, rel)
-				}
-				result = rel
-			}
-			groups, err := groupByPrefix(result, len(it.Query.GroupVars))
-			if err != nil {
-				return r.fail(fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-					r.t.Name, rule.State, rule.Tag, it.State, it.Tag, err))
-			}
-			for _, g := range groups {
-				specs = append(specs, childSpec{state: it.State, tag: it.Tag, reg: g})
-			}
-		}
-
-		if len(specs) == 0 {
-			// All forests empty: finalize.
-			n.State = ""
-			dp.addLeaf(key)
-			return unwind()
-		}
-		if err := r.ctl.AddNodes(len(specs)); err != nil {
-			return r.fail(err)
-		}
-
-		n.Children = make([]*xmltree.Node, len(specs))
-		for i, s := range specs {
-			n.Children[i] = &xmltree.Node{Tag: s.tag, State: s.state, Reg: s.reg}
-		}
-		n.State = ""
-
-		// cd accumulates the children's subtree summaries; promoted to
-		// this node's own summary after a fully successful expansion.
-		var cd *subdeps
-		if dp != nil {
-			cd = &subdeps{}
-		}
-
-		if len(n.Children) == 1 {
-			// Tail step: extend the ancestor set (in place when owned —
-			// nothing else will read this map once the chain is done)
-			// and descend without growing the Go stack.
-			if !own {
-				m := make(map[string]bool, len(ancestors)+1)
-				for k := range ancestors {
-					m[k] = true
-				}
-				ancestors = m
-				own = true
-			}
-			ancestors[key] = true
-			spine = append(spine, pendingFinish{n: n, key: key, cd: cd, dp: dp})
-			n = n.Children[0]
-			dp = cd
-			depth++
-			continue
-		}
-
-		// Branching step: one extended copy of the ancestor set, shared
-		// read-only by all children (each child copies again on its own
-		// first extension — copy-on-write keeps sibling subtrees
-		// independent, which the parallel path relies on).
-		childAnc := make(map[string]bool, len(ancestors)+1)
-		for k := range ancestors {
-			childAnc[k] = true
-		}
-		childAnc[key] = true
-
-		if r.sem == nil {
-			for _, c := range n.Children {
-				if err := r.expand(c, childAnc, false, depth+1, cd); err != nil {
-					return err
-				}
-			}
-			if err := r.finish(n, key, cd, dp); err != nil {
-				return err
-			}
-			return unwind()
-		}
-
-		// Parallel expansion of independent subtrees. Each worker
-		// contains its own panics (a panic in a bare goroutine would
-		// kill the whole process) and the first failing child cancels
-		// the run context, so its siblings stop at their next checkpoint
-		// instead of expanding to completion. Each child records
-		// dependencies into its own accumulator; they are merged after
-		// the barrier.
-		errs := make([]error, len(n.Children))
-		var deps []*subdeps
-		if cd != nil {
-			deps = make([]*subdeps, len(n.Children))
-			for i := range deps {
-				deps[i] = &subdeps{}
-			}
-		}
-		childDeps := func(i int) *subdeps {
-			if deps == nil {
-				return nil
-			}
-			return deps[i]
-		}
-		var wg sync.WaitGroup
-		for i, c := range n.Children {
-			select {
-			case r.sem <- struct{}{}:
-				wg.Add(1)
-				go func(i int, c *xmltree.Node) {
-					defer wg.Done()
-					defer func() { <-r.sem }()
-					errs[i] = r.safeExpand(c, childAnc, depth+1, childDeps(i))
-				}(i, c)
-			default:
-				errs[i] = r.safeExpand(c, childAnc, depth+1, childDeps(i))
-			}
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		for _, d := range deps {
-			cd.merge(d)
-		}
-		if err := r.finish(n, key, cd, dp); err != nil {
-			return err
-		}
-		return unwind()
-	}
-}
-
-// finish completes a successful interior expansion of n (configuration
-// key, accumulated child summaries cd): it caches the expanded subtree
-// when eligible and folds n's summary into the caller's accumulator dp.
-func (r *runner) finish(n *xmltree.Node, key string, cd, dp *subdeps) error {
-	if dp == nil {
-		return nil
-	}
-	mine := cd.promote(key)
-	if r.subtrees != nil && !mine.overflow {
-		r.subtrees.insert(key, &subtreeEntry{
-			children: n.Children,
-			size:     mine.size,
-			height:   mine.height,
-			stops:    mine.stops,
-			hits:     mine.hits,
-			misses:   mine.misses,
-		})
-	}
-	dp.merge(mine)
-	return nil
-}
-
-// safeExpand is expand with panic containment: a panic anywhere below
-// becomes a *runctl.ErrInternal and cancels the run like any other
-// failure.
-func (r *runner) safeExpand(n *xmltree.Node, ancestors map[string]bool, depth int, dp *subdeps) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = r.fail(runctl.InternalFrom(
-				fmt.Sprintf("pt %s: expand (%s,%s)", r.t.Name, n.State, n.Tag), p))
-		}
-	}()
-	return r.expand(n, ancestors, false, depth, dp)
-}
-
 // groupByPrefix splits a query result (columns x̄·ȳ) into the groups
 // S_1,…,S_m of the paper: one group per distinct x̄-prefix d̄, each
 // holding {d̄}×{ē | φ(d̄,ē)}, ordered by d̄ in the domain order.
@@ -675,12 +342,6 @@ func groupByPrefix(result *relation.Relation, k int) ([]*relation.Relation, erro
 		}
 		g.rel.Add(t)
 		return true
-	})
-	// Order groups by the domain order on prefixes. Each iterates in the
-	// canonical sorted tuple order, so groups already appear in prefix
-	// order, but sort defensively.
-	sort.Slice(order, func(i, j int) bool {
-		return value.CompareTuples(order[i].prefix, order[j].prefix) < 0
 	})
 	out := make([]*relation.Relation, len(order))
 	for i, g := range order {

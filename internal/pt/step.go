@@ -4,58 +4,85 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
-	"ptx/internal/eval"
 	"ptx/internal/relation"
 	"ptx/internal/runctl"
 	"ptx/internal/xmltree"
 )
 
 // StepRun is an explicit-frontier, one-configuration-per-step execution
-// of the τ-transformation, built for checkpointing and resumption: the
-// paper's determinism argument (Proposition 1(1)) makes the frontier of
-// pending (state, tag, register) configurations a complete, restartable
-// description of everything left to do, so a snapshot of (partial tree,
-// frontier) taken between steps resumes to the exact tree an
-// uninterrupted run would build.
+// of the τ-transformation, and the only tree traversal in this package:
+// RunContext drives the same stepper to empty. The paper's determinism
+// argument (Proposition 1(1)) makes the frontier of pending (state,
+// tag, register) configurations a complete, restartable description of
+// everything left to do, so a snapshot of (partial tree, frontier)
+// taken between steps resumes to the exact tree an uninterrupted run
+// would build.
 //
-// The step discipline is LIFO (document-order DFS), which both keeps
-// ancestor sets shareable the way the recursive expander does and makes
-// the operation numbering deterministic — "interrupt at the k-th step"
-// names the same cut point on every run. Expansion is serial, and the
-// cache mode is capped at CacheQueries: subtree sharing skips per-node
-// work in a way that has no stable per-step numbering. Full-speed
-// parallel/shared runs remain RunContext's job; StepRun trades their
-// throughput for a restartable frontier. The OUTPUT is identical either
-// way (the determinism invariant the cache-equivalence suite pins).
+// The step discipline is LIFO (document-order DFS), which keeps
+// ancestor sets shareable between siblings and makes the operation
+// numbering deterministic — "interrupt at the k-th step" names the same
+// cut point on every run. A stepwise run (NewStepRun, RestoreStepRun)
+// is serial and caps the cache mode at CacheQueries: subtree sharing
+// attaches whole subtrees in one step and parallel workers drain
+// subtrees on frontiers of their own, so neither has a stable per-step
+// numbering or a frontier that describes all remaining work. RunContext
+// adds both on top of the same step; the OUTPUT is identical either way
+// (the determinism invariant the cache-equivalence suite pins).
 type StepRun struct {
-	t      *Transducer
-	base   *eval.Env
-	ctl    *runctl.Controller
-	cancel context.CancelFunc
-	mode   CacheMode
-	memo   *eval.Memo
+	r *runner
 
 	root     *xmltree.Node
-	frontier []*stepPending
+	frontier []stepPending
 	observe  func(StepEvent)
 
-	ops      int64
-	queries  int
-	stops    int
-	nodes    int
-	maxDepth int
+	ops int64
+	// count holds the logical counters (Nodes, QueriesRun, StopsApplied,
+	// MaxDepth, NodesShared); StatsSoFar adds the cache counters.
+	count Stats
 }
 
 // stepPending is one frontier entry: an unexpanded node, the set of its
 // proper-ancestor configuration keys, and its depth. own reports that
-// this entry is the map's sole referent and may extend it in place (the
-// same copy-on-write discipline as the recursive expander).
+// this entry is the map's sole referent and may extend it in place
+// (copy-on-write keeps sibling subtrees independent). The remaining
+// fields appear only in RunContext: dp is the summary accumulator the
+// node's subtree reports into (CacheSubtrees), join/idx mark the child
+// of a fan-out that may be forked onto a worker, and fin makes the
+// entry a finish entry rather than a configuration.
 type stepPending struct {
 	node  *xmltree.Node
 	anc   map[string]bool
 	own   bool
 	depth int
+
+	dp   *subdeps
+	join *join
+	idx  int
+	fin  *finish
+}
+
+// finish completes an expanded node once every entry above it on the
+// frontier — its whole subtree — is done: it joins the node's forked
+// children, then caches the subtree and folds its summary into the
+// parent's accumulator.
+type finish struct {
+	node   *xmltree.Node
+	key    string
+	cd, dp *subdeps
+	join   *join
+}
+
+// join collects the children of one fan-out node. Forked children
+// record their private frontiers in subs (nil for children drained
+// inline) and their errors in errs; deps holds one summary accumulator
+// per child in CacheSubtrees mode, merged in child order.
+type join struct {
+	wg   sync.WaitGroup
+	errs []error
+	subs []*StepRun
+	deps []*subdeps
 }
 
 // PendingConfig is the serializable view of one frontier entry, exposed
@@ -70,15 +97,20 @@ type PendingConfig struct {
 // NewStepRun starts a stepwise run of the τ-transformation on inst.
 // Budgets and fault plans in opts apply exactly as in RunContext (the
 // wall-clock deadline starts now); Options.Cache above CacheQueries is
-// capped at CacheQueries. Callers must Close the run to release its
-// timeout resources.
+// capped at CacheQueries and Options.Workers is ignored. Callers must
+// Close the run to release its timeout resources.
 func (t *Transducer) NewStepRun(ctx context.Context, inst *relation.Instance, opts Options) (*StepRun, error) {
+	return t.start(ctx, inst, opts, true)
+}
+
+// start validates t and sets up a run from the root configuration.
+func (t *Transducer) start(ctx context.Context, inst *relation.Instance, opts Options, stepwise bool) (*StepRun, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	root := &xmltree.Node{Tag: t.RootTag, State: t.Start, Reg: relation.New(0)}
 	pending := []PendingConfig{{Node: root, Depth: 1}}
-	return t.restore(ctx, inst, opts, root, pending, Stats{Nodes: 1})
+	return newStepRun(t.newRunner(ctx, inst, opts, stepwise), root, pending, Stats{Nodes: 1}), nil
 }
 
 // RestoreStepRun reconstructs a stepwise run from a checkpoint: the
@@ -108,55 +140,35 @@ func (t *Transducer) RestoreStepRun(ctx context.Context, inst *relation.Instance
 			return nil, fmt.Errorf("pt: restore: pending[%d] depth %d < 1", i, p.Depth)
 		}
 	}
-	return t.restore(ctx, inst, opts, root, pending, prior)
+	return newStepRun(t.newRunner(ctx, inst, opts, true), root, pending, prior), nil
 }
 
-func (t *Transducer) restore(ctx context.Context, inst *relation.Instance, opts Options, root *xmltree.Node, pending []PendingConfig, prior Stats) (*StepRun, error) {
-	limits := opts.limits()
-	ctx, cancel := limits.WithTimeout(ctx)
-	ctl := runctl.New(ctx, limits).WithFaults(opts.Faults)
-	mode := opts.Cache
-	if mode > CacheQueries {
-		mode = CacheQueries
+func newStepRun(r *runner, root *xmltree.Node, pending []PendingConfig, prior Stats) *StepRun {
+	s := &StepRun{r: r, root: root, count: Stats{
+		Nodes:        prior.Nodes,
+		QueriesRun:   prior.QueriesRun,
+		StopsApplied: prior.StopsApplied,
+		MaxDepth:     prior.MaxDepth,
+	}}
+	// In CacheSubtrees mode the root summary accumulates the whole run.
+	var dp *subdeps
+	if r.subtrees != nil {
+		dp = &subdeps{}
 	}
-	s := &StepRun{
-		t:        t,
-		base:     opts.BaseEnv(inst, ctl),
-		ctl:      ctl,
-		cancel:   cancel,
-		mode:     mode,
-		root:     root,
-		queries:  prior.QueriesRun,
-		stops:    prior.StopsApplied,
-		nodes:    prior.Nodes,
-		maxDepth: prior.MaxDepth,
-	}
-	if mode >= CacheQueries {
-		if opts.Memo != nil {
-			s.memo = opts.Memo
-		} else {
-			s.memo = eval.NewMemo(opts.CacheSize)
-		}
-	}
-	s.frontier = make([]*stepPending, len(pending))
+	s.frontier = make([]stepPending, len(pending))
 	for i, p := range pending {
 		anc := make(map[string]bool, len(p.Ancestors))
 		for _, k := range p.Ancestors {
 			anc[k] = true
 		}
-		s.frontier[i] = &stepPending{node: p.Node, anc: anc, own: true, depth: p.Depth}
+		s.frontier[i] = stepPending{node: p.Node, anc: anc, own: true, depth: p.Depth, dp: dp}
 	}
-	return s, nil
+	return s
 }
 
 // Close releases the run's timeout resources. It is safe to call more
 // than once and must be called even after a completed or failed run.
-func (s *StepRun) Close() {
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
-}
+func (s *StepRun) Close() { s.r.cancel() }
 
 // Done reports whether the frontier is empty (the transformation is
 // complete and Result may be called).
@@ -168,7 +180,8 @@ func (s *StepRun) Ops() int64 { return s.ops }
 
 // Pending returns the serializable frontier, bottom of the stack first;
 // feeding it back to RestoreStepRun in this order reproduces the step
-// sequence exactly.
+// sequence exactly. A stepwise run never carries finish entries, so
+// every entry is a pending configuration.
 func (s *StepRun) Pending() []PendingConfig {
 	out := make([]PendingConfig, len(s.frontier))
 	for i, p := range s.frontier {
@@ -190,18 +203,17 @@ func (s *StepRun) Tree() *xmltree.Tree { return &xmltree.Tree{Root: s.root} }
 // prior counters a restore carried in). Unlike Result it is valid
 // mid-run, which is what checkpoints record.
 func (s *StepRun) StatsSoFar() Stats {
-	stats := Stats{
-		Nodes:        s.nodes,
-		QueriesRun:   s.queries,
-		StopsApplied: s.stops,
-		MaxDepth:     s.maxDepth,
-		CacheMode:    s.mode,
-	}
-	if s.memo != nil {
-		h, m, e := s.memo.Stats()
+	stats := s.count
+	stats.CacheMode = s.r.mode
+	if s.r.memo != nil {
+		h, m, e := s.r.memo.Stats()
 		stats.CacheHits = int(h)
 		stats.CacheMisses = int(m)
 		stats.CacheEvictions = int(e)
+	}
+	if c := s.r.subtrees; c != nil {
+		stats.SubtreesShared = int(c.hits.Load())
+		stats.CacheEvictions += int(c.evictions.Load())
 	}
 	return stats
 }
@@ -215,8 +227,8 @@ func (s *StepRun) Result() (*Result, error) {
 	return &Result{Xi: s.Tree(), Stats: s.StatsSoFar()}, nil
 }
 
-// Run drives the frontier to empty and returns the result; it is
-// RunContext built from steps (and produces the identical tree).
+// Run drives the frontier to empty and returns the result; it builds
+// the same tree as RunContext.
 func (s *StepRun) Run() (*Result, error) {
 	for !s.Done() {
 		if _, err := s.Step(); err != nil {
@@ -258,117 +270,104 @@ func (s *StepRun) Step() (done bool, err error) {
 	if len(s.frontier) == 0 {
 		return true, nil
 	}
-	p := s.frontier[len(s.frontier)-1]
-	if err := s.ctl.Canceled(); err != nil {
+	if err := s.step(); err != nil {
 		return false, err
 	}
-	if err := s.ctl.Depth(p.depth); err != nil {
-		return false, err
+	return len(s.frontier) == 0, nil
+}
+
+func (s *StepRun) step() error {
+	p := s.frontier[len(s.frontier)-1]
+	if p.fin != nil {
+		if err := s.finish(p.fin); err != nil {
+			return err
+		}
+		s.frontier = s.frontier[:len(s.frontier)-1]
+		return nil
+	}
+	r := s.r
+	if err := r.ctl.Canceled(); err != nil {
+		return err
+	}
+	if err := r.ctl.Depth(p.depth); err != nil {
+		return err
 	}
 	n := p.node
 	state := n.State
 
-	// finalize commits a completed step that produced no children.
-	finalize := func(stopped bool) bool {
+	// commit pops the configuration and records the completed step.
+	commit := func(height int, stopped bool) {
 		n.State = ""
 		s.frontier = s.frontier[:len(s.frontier)-1]
 		s.ops++
-		if p.depth > s.maxDepth {
-			s.maxDepth = p.depth
-		}
+		s.count.MaxDepth = max(s.count.MaxDepth, p.depth+height-1)
 		if s.observe != nil {
 			s.observe(StepEvent{Node: n, State: state, Depth: p.depth, Stopped: stopped})
 		}
-		return len(s.frontier) == 0
 	}
 
 	if n.Tag == xmltree.TextTag {
 		n.Text = xmltree.TextOfRegister(n.Reg)
-		return finalize(false), nil
+		p.dp.addLeaf("")
+		commit(1, false)
+		return nil
 	}
-	key := ancKey(n.State, n.Tag, n.Reg)
+	key := ConfigKey(n.State, n.Tag, n.Reg)
 	if p.anc[key] {
-		s.stops++
-		return finalize(true), nil
+		s.count.StopsApplied++
+		p.dp.addStop(key)
+		commit(1, true)
+		return nil
 	}
-	rule, ok := s.t.Rule(n.State, n.Tag)
-	if !ok || len(rule.Items) == 0 {
-		return finalize(false), nil
+	// Subtree sharing: a configuration expanded before whose recorded
+	// stop-condition dependencies resolve identically under this
+	// ancestor set is attached by reference in one step. Determinism
+	// (Proposition 1) makes the unfolding exactly the subtree expansion
+	// would build.
+	if r.subtrees != nil {
+		if e, ok := r.subtrees.lookup(key, p.anc); ok {
+			n.Children = e.children
+			s.count.StopsApplied += e.stops
+			s.count.Nodes += e.size - 1
+			s.count.NodesShared += e.size - 1
+			p.dp.addEntry(e)
+			commit(e.height, false)
+			return nil
+		}
 	}
 
-	env := s.base.WithRelation(RegRel, n.Reg)
-	var regFP string
-	if s.memo != nil {
-		regFP = n.Reg.Key()
-	}
-	type childSpec struct {
-		state string
-		tag   string
-		reg   *relation.Relation
-	}
-	var specs []childSpec
-	queriesRun := 0
-	for _, it := range rule.Items {
-		var result *relation.Relation
-		if s.memo != nil {
-			if rel, ok := s.memo.Get(it.Query, regFP); ok {
-				result = rel
-			}
-		}
-		if result == nil {
-			if err := s.ctl.Query(); err != nil {
-				return false, err
-			}
-			queriesRun++
-			rel, err := eval.EvalQuery(it.Query, env)
-			if err != nil {
-				return false, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-					s.t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
-			}
-			// Memoizing before the step commits is sound: entries are
-			// stored only after a successful evaluation, and determinism
-			// makes them valid whether or not this step completes.
-			if s.memo != nil {
-				s.memo.Put(it.Query, regFP, rel)
-			}
-			result = rel
-		}
-		groups, err := groupByPrefix(result, len(it.Query.GroupVars))
-		if err != nil {
-			return false, fmt.Errorf("pt %s: rule (%s,%s) item (%s,%s): %w",
-				s.t.Name, rule.State, rule.Tag, it.State, it.Tag, err)
-		}
-		for _, g := range groups {
-			specs = append(specs, childSpec{state: it.State, tag: it.Tag, reg: g})
-		}
+	specs, queries, err := r.t.ruleStep(n.State, n.Tag, n.Reg, r.base, r.memo, r.ctl)
+	if err != nil {
+		return err
 	}
 	if len(specs) == 0 {
-		s.queries += queriesRun
-		return finalize(false), nil
+		// Missing or empty rule, or all forests empty: finalize.
+		s.count.QueriesRun += queries
+		p.dp.addLeaf(key)
+		commit(1, false)
+		return nil
 	}
-	if err := s.ctl.AddNodes(len(specs)); err != nil {
-		return false, err
+	if err := r.ctl.AddNodes(len(specs)); err != nil {
+		return err
 	}
 
 	// The step commits: materialize the children and replace this
 	// configuration with theirs.
 	children := make([]*xmltree.Node, len(specs))
 	for i, sp := range specs {
-		children[i] = &xmltree.Node{Tag: sp.tag, State: sp.state, Reg: sp.reg}
+		children[i] = &xmltree.Node{Tag: sp.Tag, State: sp.State, Reg: sp.Reg}
 	}
 	n.Children = children
-	n.State = ""
-	s.nodes += len(children)
-	s.queries += queriesRun
-	s.frontier = s.frontier[:len(s.frontier)-1]
-	s.ops++
-	if p.depth > s.maxDepth {
-		s.maxDepth = p.depth
-	}
-	if s.observe != nil {
-		s.observe(StepEvent{Node: n, State: state, Depth: p.depth})
-	}
+	s.count.Nodes += len(children)
+	s.count.QueriesRun += queries
+	commit(1, false)
 
+	// cd accumulates the children's subtree summaries (CacheSubtrees);
+	// the finish entry below them promotes it to this node's summary.
+	var cd *subdeps
+	if p.dp != nil {
+		cd = &subdeps{}
+	}
 	if len(children) == 1 {
 		// Single-child chain: extend the ancestor set in place when owned
 		// (the depth-d chains of Proposition 1(4) then cost O(d) total
@@ -381,16 +380,140 @@ func (s *StepRun) Step() (done bool, err error) {
 			}
 		}
 		anc[key] = true
-		s.frontier = append(s.frontier, &stepPending{node: children[0], anc: anc, own: true, depth: p.depth + 1})
-		return false, nil
+		if cd != nil {
+			s.frontier = append(s.frontier, stepPending{fin: &finish{node: n, key: key, cd: cd, dp: p.dp}})
+		}
+		s.frontier = append(s.frontier, stepPending{node: children[0], anc: anc, own: true, depth: p.depth + 1, dp: cd})
+		return nil
 	}
+	// Branching step: one extended copy of the ancestor set, shared
+	// read-only by all children.
 	childAnc := make(map[string]bool, len(p.anc)+1)
 	for k := range p.anc {
 		childAnc[k] = true
 	}
 	childAnc[key] = true
-	for i := len(children) - 1; i >= 0; i-- {
-		s.frontier = append(s.frontier, &stepPending{node: children[i], anc: childAnc, own: false, depth: p.depth + 1})
+	var j *join
+	if r.sem != nil {
+		j = &join{errs: make([]error, len(children)), subs: make([]*StepRun, len(children))}
+		if cd != nil {
+			j.deps = make([]*subdeps, len(children))
+			for i := range j.deps {
+				j.deps[i] = &subdeps{}
+			}
+		}
 	}
-	return false, nil
+	if cd != nil || j != nil {
+		s.frontier = append(s.frontier, stepPending{fin: &finish{node: n, key: key, cd: cd, dp: p.dp, join: j}})
+	}
+	for i := len(children) - 1; i >= 0; i-- {
+		c := stepPending{node: children[i], anc: childAnc, depth: p.depth + 1, dp: cd}
+		if j != nil {
+			c.join, c.idx = j, i
+			if j.deps != nil {
+				c.dp = j.deps[i]
+			}
+		}
+		s.frontier = append(s.frontier, c)
+	}
+	return nil
+}
+
+// finish runs a finish entry: it waits for the node's forked children
+// and merges their counters and summaries in child order, then caches
+// the expanded subtree when eligible and folds its summary into the
+// parent's accumulator. Nothing is cached on an error path.
+func (s *StepRun) finish(f *finish) error {
+	if j := f.join; j != nil {
+		j.wg.Wait()
+		for _, err := range j.errs {
+			if err != nil {
+				return err
+			}
+		}
+		for i, sub := range j.subs {
+			if sub != nil {
+				s.ops += sub.ops
+				s.count.Nodes += sub.count.Nodes
+				s.count.QueriesRun += sub.count.QueriesRun
+				s.count.StopsApplied += sub.count.StopsApplied
+				s.count.NodesShared += sub.count.NodesShared
+				s.count.MaxDepth = max(s.count.MaxDepth, sub.count.MaxDepth)
+			}
+			if j.deps != nil {
+				f.cd.merge(j.deps[i])
+			}
+		}
+	}
+	if f.dp == nil {
+		return nil
+	}
+	mine := f.cd.promote(f.key)
+	if !mine.overflow {
+		s.r.subtrees.insert(f.key, &subtreeEntry{
+			children: f.node.Children,
+			size:     mine.size,
+			height:   mine.height,
+			stops:    mine.stops,
+			hits:     mine.hits,
+			misses:   mine.misses,
+		})
+	}
+	f.dp.merge(mine)
+	return nil
+}
+
+// drain steps the frontier to empty for RunContext. The child of a
+// fan-out node that gets a worker slot when it reaches the top is
+// forked instead of stepped. drain contains its own panics, so a panic
+// on a worker becomes a *runctl.ErrInternal rather than killing the
+// process. Any failure goes through fail, which cancels the run so
+// siblings stop at their next step, and drain waits for every fan-out
+// still on its frontier, so no worker outlives it.
+func (s *StepRun) drain() (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = runctl.InternalFrom("pt.Run", p)
+		}
+		if err != nil {
+			err = s.r.fail(err)
+			for _, p := range s.frontier {
+				if p.fin != nil && p.fin.join != nil {
+					p.fin.join.wg.Wait()
+				}
+			}
+		}
+	}()
+	for len(s.frontier) > 0 {
+		if p := s.frontier[len(s.frontier)-1]; p.join != nil && s.fork(p) {
+			continue
+		}
+		if err := s.step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fork pops p, a child of a fan-out node, and drains it on a private
+// frontier in a new goroutine when a worker slot is free; it reports
+// whether it did.
+func (s *StepRun) fork(p stepPending) bool {
+	select {
+	case s.r.sem <- struct{}{}:
+	default:
+		return false
+	}
+	s.frontier = s.frontier[:len(s.frontier)-1]
+	j := p.join
+	p.join = nil
+	sub := &StepRun{r: s.r, frontier: []stepPending{p}}
+	j.subs[p.idx] = sub
+	j.wg.Add(1)
+	go func() {
+		defer j.wg.Done()
+		defer func() { <-s.r.sem }()
+		j.errs[p.idx] = sub.drain()
+	}()
+	return true
 }

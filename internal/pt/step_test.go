@@ -1,5 +1,5 @@
-// Stepwise-runner tests: the explicit-frontier StepRun must agree with
-// the recursive expander byte-for-byte, and its checkpoint invariant —
+// Stepwise-runner tests: the public stepwise API (serial, query-capped)
+// must agree with RunContext byte-for-byte, and its checkpoint invariant —
 // (tree, frontier) fully describes the remaining work at every step —
 // must survive interruption at arbitrary cut points.
 package pt_test

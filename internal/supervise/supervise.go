@@ -115,19 +115,13 @@ func Retryable(err error) bool {
 	return errors.As(err, &internal)
 }
 
-// degrade is the options ladder: each rung gives up a performance
-// feature that could itself be implicated in the failure. attempt is
-// the 1-based attempt that just failed; the returned options configure
-// attempt+1. Rungs are cumulative: by the fourth retry the run is
-// serial and cache-free — the simplest configuration that can still
+// degrade is the options ladder. attempt is the 1-based attempt that
+// just failed; the returned options configure attempt+1. Attempts run
+// stepwise, which is already serial and capped at CacheQueries, so the
+// only feature left to give up is the query memo: from the fourth retry
+// on the run is cache-free — the simplest configuration that can still
 // make progress.
 func degrade(attempt int, o pt.Options) pt.Options {
-	if attempt >= 2 && o.Cache > pt.CacheQueries {
-		o.Cache = pt.CacheQueries
-	}
-	if attempt >= 3 {
-		o.Workers = 1
-	}
 	if attempt >= 4 {
 		o.Cache = pt.CacheOff
 	}

@@ -348,15 +348,18 @@ func TestBackoffDeterministic(t *testing.T) {
 }
 
 // TestDegradationLadder: with every query failing, the retry sequence
-// must walk the ladder — cache capped, then serial, then cache off.
+// must pass the options through unchanged until the fourth retry turns
+// caching off, and every attempt must run at most at CacheQueries (the
+// stepwise runner is serial and query-capped).
 func TestDegradationLadder(t *testing.T) {
 	tr := families.UnfoldTransducer()
 	inst := families.DiamondChain(6)
 	plan := runctl.SeededPlan(7, runctl.Transient(errors.New("blip")), map[runctl.Op]float64{runctl.OpQuery: 1})
-	var ladder []pt.Options
+	run := pt.Options{Cache: pt.CacheSubtrees, Workers: 4, Faults: plan}
+	ladder := []pt.Options{run}
 	var delays []time.Duration
 	_, rep, err := supervise.Run(context.Background(), tr, inst, supervise.Options{
-		Run:     pt.Options{Cache: pt.CacheSubtrees, Workers: 4, Faults: plan},
+		Run:     run,
 		Retries: 4,
 		Sleep:   noSleep(&delays),
 		OnRetry: func(attempt int, err error, next pt.Options) { ladder = append(ladder, next) },
@@ -364,23 +367,29 @@ func TestDegradationLadder(t *testing.T) {
 	if err == nil {
 		t.Fatal("run with p=1 query faults succeeded")
 	}
-	if rep.Attempts != 5 || len(ladder) != 4 {
-		t.Fatalf("attempts=%d ladder=%d, want 5/4", rep.Attempts, len(ladder))
+	if rep.Attempts != 5 || len(ladder) != 5 {
+		t.Fatalf("attempts=%d ladder=%d, want 5/5", rep.Attempts, len(ladder))
 	}
-	if ladder[0].Cache != pt.CacheSubtrees || ladder[0].Workers != 4 {
-		t.Errorf("retry 1 should be unchanged, got %+v", ladder[0])
+	for i, o := range ladder[1:4] {
+		if o.Cache != run.Cache || o.Workers != run.Workers {
+			t.Errorf("retry %d should be unchanged, got %+v", i+1, o)
+		}
 	}
-	if ladder[1].Cache != pt.CacheQueries {
-		t.Errorf("retry 2 should cap the cache, got %+v", ladder[1])
-	}
-	if ladder[2].Workers != 1 || ladder[2].Cache != pt.CacheQueries {
-		t.Errorf("retry 3 should go serial, got %+v", ladder[2])
-	}
-	if ladder[3].Cache != pt.CacheOff || ladder[3].Workers != 1 {
-		t.Errorf("retry 4 should turn caching off, got %+v", ladder[3])
+	if ladder[4].Cache != pt.CacheOff {
+		t.Errorf("retry 4 should turn caching off, got %+v", ladder[4])
 	}
 	if rep.FinalOptions.Cache != pt.CacheOff {
 		t.Errorf("FinalOptions should reflect the last rung, got %+v", rep.FinalOptions)
+	}
+	for i, o := range ladder {
+		sr, err := tr.NewStepRun(context.Background(), inst, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode := sr.StatsSoFar().CacheMode; mode > pt.CacheQueries {
+			t.Errorf("attempt %d: effective cache mode %v, want ≤ %v", i+1, mode, pt.CacheQueries)
+		}
+		sr.Close()
 	}
 }
 
