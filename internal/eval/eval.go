@@ -124,7 +124,10 @@ func (e *Env) Lookup(name string) (*relation.Relation, bool) {
 // given constants, sorted. The inst∪extras merge is cached per Env and
 // revalidated against the relation-level adom caches, so repeated
 // evaluations against an unchanged environment share one slice; callers
-// must treat the result as read-only.
+// must treat the result as read-only. Compiled plans call it only when an
+// operator ranges over the domain (see plan.Env), so the rule queries of
+// positive transducers never pay for the merge; the naive oracle calls it
+// on every evaluation.
 func (e *Env) Domain(extraConsts []value.V) []value.V {
 	base := e.domainBase()
 	if len(extraConsts) == 0 {

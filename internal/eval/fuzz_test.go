@@ -138,35 +138,92 @@ func FuzzDifferentialEval(f *testing.F) {
 		if err != nil {
 			t.Skip() // e.g. sentences with empty heads
 		}
-		env := NewEnv(inst)
+		agreeAll(t, q, NewEnv(inst), inst)
+	})
+}
 
-		opt, err1 := EvalQuery(q, env)
-		naive, err2 := EvalQueryNaive(q, env)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error mismatch: plan %v, naive %v on %s", err1, err2, fla)
-		}
-		if err1 != nil {
-			return
-		}
-		if !opt.Equal(naive) {
-			t.Fatalf("plan and naive disagree on %s\n plan  %s\n naive %s\n instance %s",
-				fla, opt, naive, inst)
-		}
+// agreeAll requires EvalQuery, EvalQueryNaive and EvalQueryMemo (twice,
+// the second call a hit) to agree exactly on q over env.
+func agreeAll(t *testing.T, q *logic.Query, env *Env, inst *relation.Instance) {
+	t.Helper()
+	fla := q.F
+	opt, err1 := EvalQuery(q, env)
+	naive, err2 := EvalQueryNaive(q, env)
+	if (err1 == nil) != (err2 == nil) {
+		t.Fatalf("error mismatch: plan %v, naive %v on %s", err1, err2, fla)
+	}
+	if err1 != nil {
+		return
+	}
+	if !opt.Equal(naive) {
+		t.Fatalf("plan and naive disagree on %s\n plan  %s\n naive %s\n instance %s",
+			fla, opt, naive, inst)
+	}
 
-		m := NewMemo(0)
-		cold, err := EvalQueryMemo(q, env, m)
+	m := NewMemo(0)
+	cold, err := EvalQueryMemo(q, env, m)
+	if err != nil {
+		t.Fatalf("memo (cold): %v on %s", err, fla)
+	}
+	warm, err := EvalQueryMemo(q, env, m)
+	if err != nil {
+		t.Fatalf("memo (warm): %v on %s", err, fla)
+	}
+	if !cold.Equal(opt) || !warm.Equal(opt) {
+		t.Fatalf("memoized evaluation disagrees on %s", fla)
+	}
+	if hits, _, _ := m.Stats(); hits != 1 {
+		t.Fatalf("second memo call should hit (hits=%d) on %s", hits, fla)
+	}
+}
+
+// register decodes a one- or two-tuple register of the given arity over
+// the fuzz domain {0,1,2}.
+func (d *fuzzDecoder) register(arity int) *relation.Relation {
+	reg := relation.New(arity)
+	for k := 1 + int(d.byte())%2; k > 0; k-- {
+		t := make(value.Tuple, arity)
+		for i := range t {
+			t[i] = value.Of(int(d.byte()) % 3)
+		}
+		reg.Add(t)
+	}
+	return reg
+}
+
+// FuzzDifferentialRegisterProbe is FuzzDifferentialEval in the shape of
+// a rule query: a decoded 1–2-tuple register Reg (of arity 1 or 2) is
+// conjoined with a decoded formula, so the plan's conjunctions start
+// from the register and probe A, E and fixpoint stages by column index.
+// Plan, naive and memo must agree exactly.
+func FuzzDifferentialRegisterProbe(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 3, 0, 1, 1, 2, 2, 0, 1, 1, 0, 1, 0, 2, 0, 1, 0, 1, 1, 0})
+	f.Add([]byte{2, 2, 1, 1, 0, 2, 4, 0, 1, 1, 2, 0, 1, 1, 0, 0, 9, 0, 1, 1, 1})
+	f.Add([]byte{3, 1, 2, 3, 0, 1, 1, 2, 1, 2, 0, 1, 1, 2, 5, 0, 1, 2, 1, 0})
+	f.Add([]byte("register probe seed: Reg(x) joined with E"))
+	// First byte ≡ 0 mod 5: the empty-instance decode path, with a
+	// nonempty register.
+	f.Add([]byte{0, 1, 1, 2, 1, 0, 0, 1, 5, 1, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := &fuzzDecoder{data: data}
+		s := relation.NewSchema().MustDeclare("A", 1).MustDeclare("E", 2)
+		inst := d.instance(s)
+		arity := 1 + int(d.byte())%2
+		reg := d.register(arity)
+		regAtom := logic.R("Reg", logic.Var("x"))
+		if arity == 2 {
+			regAtom = logic.R("Reg", logic.Var("x"), logic.Var("y"))
+		}
+		var fla logic.Formula = logic.Conj(regAtom, d.formula(1+int(d.byte())%3))
+		if d.byte()%2 == 0 {
+			fla = logic.Ex([]logic.Var{"x"}, fla)
+		}
+		q, err := logic.NewQuery(nil, SortedVars(logic.FreeVars(fla)), fla)
 		if err != nil {
-			t.Fatalf("memo (cold): %v on %s", err, fla)
+			t.Skip()
 		}
-		warm, err := EvalQueryMemo(q, env, m)
-		if err != nil {
-			t.Fatalf("memo (warm): %v on %s", err, fla)
-		}
-		if !cold.Equal(opt) || !warm.Equal(opt) {
-			t.Fatalf("memoized evaluation disagrees on %s", fla)
-		}
-		if hits, _, _ := m.Stats(); hits != 1 {
-			t.Fatalf("second memo call should hit (hits=%d) on %s", hits, fla)
-		}
+		agreeAll(t, q, NewEnv(inst).WithRelation("Reg", reg), inst)
 	})
 }

@@ -126,3 +126,134 @@ func TestDomainCachedOnDerivedEnvs(t *testing.T) {
 		t.Fatalf("domain stale after deletion: %d values", len(d5))
 	}
 }
+
+// prereqInstance builds a registrar database with n courses CS00000…
+// and the prerequisite chain prereq(c_i, c_{i+1}).
+func prereqInstance(n int) *relation.Instance {
+	s := relation.NewSchema().MustDeclare("course", 3).MustDeclare("prereq", 2)
+	inst := relation.NewInstance(s)
+	cno := func(i int) string { return fmt.Sprintf("CS%05d", i) }
+	for i := 0; i < n; i++ {
+		inst.Add("course", cno(i), fmt.Sprintf("title %d", i), "CS")
+		if i+1 < n {
+			inst.Add("prereq", cno(i), cno(i+1))
+		}
+	}
+	return inst
+}
+
+// tau1PrereqQuery is τ1's rule query at a prereq node (Example 3.1):
+// φ3(c,t) = ∃c2,d. Reg(c2) ∧ prereq(c2,c) ∧ course(c,t,d).
+func tau1PrereqQuery() *logic.Query {
+	c, t, c2, d := logic.Var("c"), logic.Var("t"), logic.Var("c2"), logic.Var("d")
+	return logic.MustQuery(logic.Vars("c", "t"), nil,
+		logic.Ex(logic.Vars("c2", "d"), logic.Conj(
+			logic.R("Reg", c2),
+			logic.R("prereq", c2, c),
+			logic.R("course", c, t, d),
+		)))
+}
+
+// TestRegisterProbeProportional pins the probe join: τ1's prereq query
+// over a one-tuple register joins prereq and course by column-index
+// lookups, so its allocations do not grow with the database. A plan that
+// scans the relations allocates linearly in the number of courses.
+func TestRegisterProbeProportional(t *testing.T) {
+	q := tau1PrereqQuery()
+	allocsAt := func(n int) float64 {
+		env := NewEnv(prereqInstance(n)).WithRelation("Reg", relation.FromRows([]string{"CS00000"}))
+		got, err := EvalQuery(q, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := relation.FromRows([]string{"CS00001", "title 1"})
+		if !got.Equal(want) {
+			t.Fatalf("n=%d: got %s, want %s", n, got, want)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := EvalQuery(q, env); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocsAt(100), allocsAt(10_000)
+	t.Logf("allocs/eval: %.0f at 100 courses, %.0f at 10000", small, large)
+	if large > 2*small {
+		t.Fatalf("allocs grew from %.0f to %.0f with 100× the courses; the register join scans the database", small, large)
+	}
+}
+
+// domainCounter is a plan.Env that counts Domain calls.
+type domainCounter struct {
+	*Env
+	calls int
+}
+
+func (d *domainCounter) Domain(extraConsts []value.V) []value.V {
+	d.calls++
+	return d.Env.Domain(extraConsts)
+}
+
+// TestDomainCallsOnlyWhenRanged: a plan asks for the active domain only
+// when an operator ranges over it. Positive CQs — the rule queries of
+// τ1 — and anti-joins over atoms never call Env.Domain; unbound ≠, ∀
+// (a complement) and a disjunction whose sides bind different variables
+// do, once per evaluation.
+func TestDomainCallsOnlyWhenRanged(t *testing.T) {
+	cno, title, dept := logic.Var("cno"), logic.Var("title"), logic.Var("dept")
+	reg1 := relation.FromRows([]string{"CS00000"})
+	reg2 := relation.FromRows([]string{"CS00000", "title 0"})
+	cases := []struct {
+		name  string
+		q     *logic.Query
+		reg   *relation.Relation
+		calls int
+	}{
+		{"tau1-root", logic.MustQuery(logic.Vars("cno", "title"), nil,
+			logic.Ex(logic.Vars("dept"), logic.Conj(logic.R("course", cno, title, dept), logic.EqT(dept, logic.Const("CS"))))),
+			reg1, 0},
+		{"tau1-cno-of-reg", logic.MustQuery(logic.Vars("cno"), nil, logic.Ex(logic.Vars("title"), logic.R("Reg", cno, title))),
+			reg2, 0},
+		{"tau1-prereq", tau1PrereqQuery(), reg1, 0},
+		{"tau1-text", logic.MustQuery(logic.Vars("c"), nil, logic.R("Reg", logic.Var("c"))), reg1, 0},
+		{"anti-join", logic.MustQuery(logic.Vars("c", "t"), nil,
+			logic.Ex(logic.Vars("d"), logic.Conj(logic.R("course", logic.Var("c"), logic.Var("t"), logic.Var("d")),
+				&logic.Not{F: logic.R("prereq", logic.Var("c"), logic.Var("c"))}))),
+			reg1, 0},
+		{"neq-unbound", logic.MustQuery(logic.Vars("c", "y"), nil,
+			logic.Conj(logic.R("Reg", logic.Var("c")), logic.NeqT(logic.Var("y"), logic.Const("a")))),
+			reg1, 1},
+		{"forall", logic.MustQuery(logic.Vars("c"), nil,
+			logic.Conj(logic.R("Reg", logic.Var("c")),
+				logic.All(logic.Vars("y"), logic.Disj(&logic.Not{F: logic.R("prereq", logic.Var("c"), logic.Var("y"))},
+					logic.R("Reg", logic.Var("y")))))),
+			reg1, 1},
+		{"or", logic.MustQuery(logic.Vars("c", "y"), nil,
+			logic.Disj(logic.R("prereq", logic.Var("c"), logic.Var("y")), logic.R("Reg", logic.Var("c")))),
+			reg1, 1},
+	}
+	inst := prereqInstance(20)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := planFor(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &domainCounter{Env: NewEnv(inst).WithRelation("Reg", tc.reg)}
+			got, err := p.Eval(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := EvalQueryNaive(tc.q, env.Env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("plan %s, naive %s", got, want)
+			}
+			if env.calls != tc.calls {
+				t.Fatalf("Domain called %d times, want %d", env.calls, tc.calls)
+			}
+		})
+	}
+}

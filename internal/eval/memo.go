@@ -56,7 +56,10 @@ type Memo struct {
 const DefaultMemoSize = 1 << 16
 
 // NewMemo returns a memo holding at most capacity results (capacity ≤ 0
-// selects DefaultMemoSize).
+// selects DefaultMemoSize). The capacity is a bound, not a
+// preallocation: the table grows as results are stored, so a fresh memo,
+// like the one a version-drift flush leaves behind, is a few hundred
+// bytes.
 func NewMemo(capacity int) *Memo {
 	if capacity <= 0 {
 		capacity = DefaultMemoSize

@@ -139,3 +139,38 @@ func TestMemoErrorNotCached(t *testing.T) {
 		t.Error("successful result should now hit")
 	}
 }
+
+var sinkMemo *Memo
+
+// TestMemoAllocBounded: a memo's capacity is a bound, not a
+// preallocation. A fresh NewMemo(0) and the table a version-drift flush
+// leaves behind each cost a few hundred bytes, not a 64k-slot map.
+func TestMemoAllocBounded(t *testing.T) {
+	const limit = 64 << 10
+	fresh := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkMemo = NewMemo(0)
+		}
+	}).AllocedBytesPerOp()
+	if fresh >= limit {
+		t.Errorf("NewMemo(0) allocates %d bytes, want < %d", fresh, limit)
+	}
+
+	inst := graphInstance([2]string{"a", "b"})
+	q := logic.MustQuery(nil, []logic.Var{x, y}, logic.R("E", x, y))
+	m := NewMemo(0)
+	m.BindInstance(inst)
+	flush := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			inst.Add("E", "a", "b") // present already: only the version moves
+			m.Get(q, "")
+		}
+	}).AllocedBytesPerOp()
+	if _, flushes := m.InvalidationStats(); flushes == 0 {
+		t.Fatal("version drift did not flush the memo")
+	}
+	if flush >= limit {
+		t.Errorf("a version-drift flush allocates %d bytes, want < %d", flush, limit)
+	}
+	t.Logf("bytes/op: NewMemo(0) %d, flush %d", fresh, flush)
+}

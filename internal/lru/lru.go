@@ -9,7 +9,7 @@
 // goroutines wrap it in their own mutex (both memo layers do).
 package lru
 
-// Cache is a fixed-capacity map with least-recently-used eviction.
+// Cache is a bounded map with least-recently-used eviction.
 type Cache[V any] struct {
 	capacity int
 	onEvict  func(key string, v V)
@@ -25,8 +25,10 @@ type entry[V any] struct {
 }
 
 // New returns a cache holding at most capacity entries; capacity must be
-// positive. onEvict, if non-nil, observes each evicted entry (it is not
-// called for Put-updates of an existing key).
+// positive. The capacity is a bound, not a preallocation: the table
+// starts empty and grows as entries are added, so a large bound costs
+// nothing until it is used. onEvict, if non-nil, observes each evicted
+// entry (it is not called for Put-updates of an existing key).
 func New[V any](capacity int, onEvict func(key string, v V)) *Cache[V] {
 	if capacity <= 0 {
 		panic("lru: capacity must be positive")
@@ -34,7 +36,7 @@ func New[V any](capacity int, onEvict func(key string, v V)) *Cache[V] {
 	return &Cache[V]{
 		capacity: capacity,
 		onEvict:  onEvict,
-		entries:  make(map[string]*entry[V], capacity),
+		entries:  make(map[string]*entry[V]),
 	}
 }
 

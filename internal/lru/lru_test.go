@@ -1,6 +1,10 @@
 package lru
 
-import "testing"
+import (
+	"math/rand"
+	"strconv"
+	"testing"
+)
 
 func TestGetPutEvictOrder(t *testing.T) {
 	var evicted []string
@@ -111,5 +115,64 @@ func TestRemoveIf(t *testing.T) {
 	c.Put("fresh", 1)
 	if v, ok := c.Get("fresh"); !ok || v != 1 {
 		t.Fatal("cache unusable after full RemoveIf")
+	}
+}
+
+// TestEvictionOrderAfterGrowth: the table starts empty and grows on
+// demand; once it has grown far past its initial size, gets, updates and
+// evictions must still follow least-recently-used order exactly. A
+// slice-based model replays the same random operations.
+func TestEvictionOrderAfterGrowth(t *testing.T) {
+	const capacity = 500
+	var evicted []string
+	c := New[int](capacity, func(k string, _ int) { evicted = append(evicted, k) })
+	var model []string // most recent first
+	touch := func(k string) {
+		for i, m := range model {
+			if m == k {
+				model = append(model[:i], model[i+1:]...)
+				break
+			}
+		}
+		model = append([]string{k}, model...)
+	}
+	has := func(k string) bool {
+		for _, m := range model {
+			if m == k {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 5000; op++ {
+		k := strconv.Itoa(rng.Intn(3 * capacity))
+		if rng.Intn(3) == 0 {
+			_, ok := c.Get(k)
+			if ok != has(k) {
+				t.Fatalf("op %d: Get(%s) = %v, model says %v", op, k, ok, has(k))
+			}
+			if ok {
+				touch(k)
+			}
+			continue
+		}
+		evicted = evicted[:0]
+		c.Put(k, op)
+		touch(k)
+		var want []string
+		if len(model) > capacity {
+			want = model[capacity:]
+			model = model[:capacity]
+		}
+		if len(evicted) != len(want) || (len(want) == 1 && evicted[0] != want[0]) {
+			t.Fatalf("op %d: Put(%s) evicted %v, want %v", op, k, evicted, want)
+		}
+		if c.Len() != len(model) {
+			t.Fatalf("op %d: len %d, want %d", op, c.Len(), len(model))
+		}
+	}
+	if c.Len() != capacity {
+		t.Fatalf("len %d after 5000 operations, want the capacity %d", c.Len(), capacity)
 	}
 }

@@ -11,16 +11,30 @@ import (
 )
 
 // exec is the transient state of one plan evaluation: the environment,
-// the active domain, the overlay of fixpoint stage relations shadowing
-// the environment, and a per-evaluation value interner so join keys and
-// dedup sets hash dense 4-byte ids instead of length-prefixed strings.
+// the query's constants, the active domain once something has asked for
+// it, the overlay of fixpoint stage relations shadowing the environment,
+// and a per-evaluation value interner so join keys and dedup sets hash
+// dense 4-byte ids instead of length-prefixed strings.
 type exec struct {
 	env     Env
 	ctl     *runctl.Controller
-	adom    []value.V
+	consts  []value.V
+	dom     []value.V // see adom
+	domOK   bool
 	overlay map[string]*relation.Relation
 	in      *value.Interner
 	kbuf    []byte
+}
+
+// adom returns the active domain extended with the query's constants,
+// computed on first use. Only the operators that range over the domain
+// — expand, complement and a vacuous ∃ — call it, so positive
+// conjunctive queries and anti-joins never merge or sort the domain.
+func (x *exec) adom() []value.V {
+	if !x.domOK {
+		x.dom, x.domOK = x.env.Domain(x.consts), true
+	}
+	return x.dom
 }
 
 func (x *exec) lookup(name string) (*relation.Relation, bool) {
@@ -126,6 +140,7 @@ func (x *exec) expand(b *bset, missing []logic.Var) (*bset, error) {
 	out := newBset(outVars)
 	row := make(value.Tuple, len(outVars))
 	base := len(b.vars)
+	adom := x.adom()
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(missing) {
@@ -135,7 +150,7 @@ func (x *exec) expand(b *bset, missing []logic.Var) (*bset, error) {
 			out.add(x, row.Clone())
 			return nil
 		}
-		for _, d := range x.adom {
+		for _, d := range adom {
 			row[base+i] = d
 			if err := rec(i + 1); err != nil {
 				return err
@@ -157,6 +172,10 @@ func (x *exec) complement(b *bset) (*bset, error) {
 	out := newBset(b.vars)
 	k := len(b.vars)
 	cand := make(value.Tuple, k)
+	var adom []value.V
+	if k > 0 {
+		adom = x.adom()
+	}
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == k {
@@ -168,7 +187,7 @@ func (x *exec) complement(b *bset) (*bset, error) {
 			}
 			return nil
 		}
-		for _, d := range x.adom {
+		for _, d := range adom {
 			cand[i] = d
 			if err := rec(i + 1); err != nil {
 				return err
@@ -246,6 +265,15 @@ type nScan struct {
 func (n *nScan) vars() []logic.Var { return n.out }
 
 func (n *nScan) exec(x *exec) (*bset, error) {
+	rel, err := n.resolve(x)
+	if err != nil {
+		return nil, err
+	}
+	return n.scan(x, rel)
+}
+
+// resolve looks up the atom's relation and checks its arity.
+func (n *nScan) resolve(x *exec) (*relation.Relation, error) {
 	rel, ok := x.lookup(n.rel)
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown relation %q in atom %s", n.rel, n.atom)
@@ -254,6 +282,11 @@ func (n *nScan) exec(x *exec) (*bset, error) {
 		return nil, fmt.Errorf("eval: atom %s has %d args but relation %q has arity %d",
 			n.atom, len(n.atom.Args), n.rel, rel.Arity())
 	}
+	return rel, nil
+}
+
+// scan materializes the atom's assignments over rel.
+func (n *nScan) scan(x *exec, rel *relation.Relation) (*bset, error) {
 	var rows []value.Tuple
 	if n.constCol >= 0 {
 		rows = rel.Lookup(n.constCol, n.constVal)
@@ -265,23 +298,7 @@ func (n *nScan) exec(x *exec) (*bset, error) {
 		if err := x.ctl.Tick(); err != nil {
 			return nil, err
 		}
-		match := true
-		for _, c := range n.consts {
-			if t[c.pos] != c.v {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		for _, dp := range n.dups {
-			if t[dp[0]] != t[dp[1]] {
-				match = false
-				break
-			}
-		}
-		if !match {
+		if !n.matches(t) {
 			continue
 		}
 		asg := make(value.Tuple, len(n.out))
@@ -291,6 +308,76 @@ func (n *nScan) exec(x *exec) (*bset, error) {
 		out.add(x, asg)
 	}
 	return out, nil
+}
+
+// matches reports whether t agrees with the atom's constants and
+// repeated variables.
+func (n *nScan) matches(t value.Tuple) bool {
+	for _, c := range n.consts {
+		if t[c.pos] != c.v {
+			return false
+		}
+	}
+	for _, dp := range n.dups {
+		if t[dp[0]] != t[dp[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// probe joins cur with the atom by looking up, for each row of cur, the
+// value of one shared variable in rel's column index. The atom's
+// constants, repeated variables and other shared columns are checked on
+// each probed tuple. Output variables are cur's followed by the atom's
+// new ones, as in join.
+func (n *nScan) probe(x *exec, cur *bset, rel *relation.Relation) (*bset, error) {
+	curIdx := varIndex(cur.vars)
+	probeCol, probeFrom := -1, 0
+	var checks [][2]int // (relation column, cur column) pairs that must agree
+	var newCols []int
+	outVars := append(make([]logic.Var, 0, len(cur.vars)+len(n.out)), cur.vars...)
+	for i, v := range n.out {
+		p := n.varFirst[i]
+		ci, shared := curIdx[v]
+		switch {
+		case !shared:
+			newCols = append(newCols, p)
+			outVars = append(outVars, v)
+		case probeCol < 0:
+			probeCol, probeFrom = p, ci
+		default:
+			checks = append(checks, [2]int{p, ci})
+		}
+	}
+	out := newBset(outVars)
+	for _, row := range cur.rows {
+		for _, t := range rel.Lookup(probeCol, row[probeFrom]) {
+			if err := x.ctl.Tick(); err != nil {
+				return nil, err
+			}
+			if !n.matches(t) || !agree(t, row, checks) {
+				continue
+			}
+			nr := make(value.Tuple, 0, len(outVars))
+			nr = append(nr, row...)
+			for _, p := range newCols {
+				nr = append(nr, t[p])
+			}
+			out.add(x, nr)
+		}
+	}
+	return out, nil
+}
+
+// agree reports whether t[c[0]] == row[c[1]] for every pair c.
+func agree(t, row value.Tuple, checks [][2]int) bool {
+	for _, c := range checks {
+		if t[c[0]] != row[c[1]] {
+			return false
+		}
+	}
+	return true
 }
 
 func (n *nScan) explain(sb *strings.Builder, d int) {
@@ -331,11 +418,17 @@ func (f *filter) String() string {
 	return "not" + varList(f.frees)
 }
 
-// nConj joins its positive conjuncts greedily by actual cardinality
-// (smallest first, preferring joinable pairs over cross products) and
-// applies filters on bound prefixes the moment they are covered.
-// Filters still uncovered after all joins bind (for =) or expand over
-// the active domain (for ≠/¬) only the variables they mention.
+// nConj joins its positive conjuncts greedily by cardinality (smallest
+// first, preferring joinable pairs over cross products) and applies
+// filters on bound prefixes the moment they are covered. Base-relation
+// scans are deferred and sized by their relation: when the pick is one
+// that shares a variable with a bound prefix smaller than its relation,
+// it is joined by probing the relation's column index once per prefix
+// row, so a one-tuple register joined with a large relation costs its
+// matches, not a pass over the relation. Other picks are evaluated and
+// hash-joined. Filters still uncovered
+// after all joins bind (for =) or expand over the active domain (for
+// ≠/¬) only the variables they mention.
 type nConj struct {
 	out       []logic.Var
 	positives []node
@@ -344,14 +437,54 @@ type nConj struct {
 
 func (n *nConj) vars() []logic.Var { return n.out }
 
+// operand is one positive conjunct during an nConj evaluation: an
+// evaluated binding set, or a deferred scan with its resolved relation.
+type operand struct {
+	set  *bset
+	scan *nScan
+	rel  *relation.Relation
+}
+
+func (o *operand) vars() []logic.Var {
+	if o.set != nil {
+		return o.set.vars
+	}
+	return o.scan.out
+}
+
+// size orders the greedy join: a set's rows, a deferred scan's relation
+// size.
+func (o *operand) size() int {
+	if o.set != nil {
+		return len(o.set.rows)
+	}
+	return o.rel.Len()
+}
+
+// eval returns the operand's binding set, materializing a deferred scan.
+func (o *operand) eval(x *exec) (*bset, error) {
+	if o.set != nil {
+		return o.set, nil
+	}
+	return o.scan.scan(x, o.rel)
+}
+
 func (n *nConj) exec(x *exec) (*bset, error) {
-	sets := make([]*bset, len(n.positives))
+	ops := make([]operand, len(n.positives))
 	for i, p := range n.positives {
+		if s, ok := p.(*nScan); ok {
+			rel, err := s.resolve(x)
+			if err != nil {
+				return nil, err
+			}
+			ops[i] = operand{scan: s, rel: rel}
+			continue
+		}
 		b, err := p.exec(x)
 		if err != nil {
 			return nil, err
 		}
-		sets[i] = b
+		ops[i] = operand{set: b}
 	}
 	applied := make([]bool, len(n.filters))
 	covered := func(cur *bset, f *filter) bool {
@@ -383,46 +516,57 @@ func (n *nConj) exec(x *exec) (*bset, error) {
 	}
 
 	var cur *bset
-	used := make([]bool, len(sets))
-	remaining := len(sets)
+	var err error
+	used := make([]bool, len(ops))
+	remaining := len(ops)
 	if remaining == 0 {
 		cur = unitBset(x)
 	} else {
 		best := 0
-		for i := 1; i < len(sets); i++ {
-			if len(sets[i].rows) < len(sets[best].rows) {
+		for i := 1; i < len(ops); i++ {
+			if ops[i].size() < ops[best].size() {
 				best = i
 			}
 		}
-		cur = sets[best]
+		if cur, err = ops[best].eval(x); err != nil {
+			return nil, err
+		}
 		used[best] = true
 		remaining--
 	}
-	var err error
 	if cur, err = applyCovered(cur); err != nil {
 		return nil, err
 	}
 	for ; remaining > 0; remaining-- {
 		curIdx := varIndex(cur.vars)
 		best, bestShares := -1, false
-		for i := range sets {
+		for i := range ops {
 			if used[i] {
 				continue
 			}
 			shares := false
-			for _, v := range sets[i].vars {
+			for _, v := range ops[i].vars() {
 				if _, ok := curIdx[v]; ok {
 					shares = true
 					break
 				}
 			}
 			if best < 0 || (shares && !bestShares) ||
-				(shares == bestShares && len(sets[i].rows) < len(sets[best].rows)) {
+				(shares == bestShares && ops[i].size() < ops[best].size()) {
 				best, bestShares = i, shares
 			}
 		}
 		used[best] = true
-		if cur, err = x.join(cur, sets[best]); err != nil {
+		op := &ops[best]
+		if op.set == nil && bestShares && len(cur.rows) < op.rel.Len() {
+			cur, err = op.scan.probe(x, cur, op.rel)
+		} else {
+			var b *bset
+			if b, err = op.eval(x); err == nil {
+				cur, err = x.join(cur, b)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
 		if cur, err = applyCovered(cur); err != nil {
@@ -657,7 +801,7 @@ func (n *nProject) exec(x *exec) (*bset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.vacuous && len(x.adom) == 0 {
+	if n.vacuous && len(x.adom()) == 0 {
 		return newBset(n.out), nil
 	}
 	return x.project(b, n.cols, n.out), nil

@@ -10,18 +10,26 @@
 //     forall, fixpoint) with every variable layout — scan output
 //     order, duplicate-variable checks, union alignments, head
 //     projections — resolved at compile time;
-//   - conjunctions evaluate their positive conjuncts and then hash-join
-//     them greedily by actual cardinality (smallest first, preferring
-//     joinable pairs over cross products), applying (in)equality and
-//     negation conjuncts as filters on the bound prefix the moment
-//     their variables are covered instead of materializing |adom|²
-//     binding sets;
+//   - conjunctions join their positive conjuncts greedily by
+//     cardinality (smallest first, preferring joinable pairs over cross
+//     products), applying (in)equality and negation conjuncts as
+//     filters on the bound prefix the moment their variables are
+//     covered instead of materializing |adom|² binding sets. Base-
+//     relation atoms are not scanned up front: one that shares a
+//     variable with a bound prefix smaller than its relation is joined
+//     by probing the relation's column index once per prefix row, so a
+//     rule query over a one-tuple register costs its answer, not a pass
+//     over the database; other conjuncts are evaluated and hash-joined;
 //   - fixpoint bodies are compiled once and re-executed per iteration
 //     against the growing stage relation;
 //   - the executor interns data values to dense ids per evaluation, so
 //     join keys and deduplication sets hash 4-byte packed ids instead
 //     of length-prefixed strings, and scans with constant arguments go
-//     through the relation layer's secondary column indexes.
+//     through the relation layer's secondary column indexes;
+//   - the active domain is computed on first use: only operators that
+//     range over it (expansion of unbound variables, complements, a
+//     vacuous ∃) ask the environment for it, so positive conjunctive
+//     queries and anti-joins never touch it.
 //
 // Plans are differentially equal to eval.EvalQueryNaive, the one
 // reference evaluator — the fuzz corpora (eval.FuzzDifferentialEval,
@@ -45,7 +53,9 @@ type Env interface {
 	// instance).
 	Lookup(name string) (*relation.Relation, bool)
 	// Domain returns the active domain extended with the given
-	// constants, sorted.
+	// constants, sorted. A plan calls it at most once per evaluation,
+	// and only if an operator ranges over the domain; positive
+	// conjunctive queries and anti-joins never call it.
 	Domain(extraConsts []value.V) []value.V
 	// Control returns the run controller (possibly nil).
 	Control() *runctl.Controller
@@ -105,7 +115,7 @@ func (p *Plan) Eval(env Env) (*relation.Relation, error) {
 	x := &exec{
 		env:     env,
 		ctl:     ctl,
-		adom:    env.Domain(p.consts),
+		consts:  p.consts,
 		overlay: make(map[string]*relation.Relation),
 		in:      value.NewInterner(),
 	}

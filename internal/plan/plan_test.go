@@ -2,8 +2,11 @@ package plan_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ptx/internal/eval"
@@ -131,6 +134,71 @@ func TestPlanDifferential(t *testing.T) {
 			t.Run(tc.name+"/"+ename, func(t *testing.T) { diff(t, tc.q, env) })
 		}
 	}
+
+	// Register-shaped queries over a relation far larger than the bound
+	// prefix, so the conjunction joins E by probing its column index.
+	u, v, w := logic.Var("u"), logic.Var("v"), logic.Var("w")
+	probeFix := &logic.Fixpoint{
+		Rel:  "S",
+		Vars: []logic.Var{u, v},
+		Body: &logic.Or{
+			L: logic.R("E", u, v),
+			R: &logic.Exists{Bound: []logic.Var{w}, F: logic.Conj(logic.R("Reg", u), logic.R("S", u, w), logic.R("E", w, v))},
+		},
+		Args: []logic.Term{x(), y()},
+	}
+	probeCases := []struct {
+		name string
+		q    *logic.Query
+	}{
+		{"probe-reg", logic.MustQuery(vs("x", "y"), nil, logic.Conj(logic.R("Reg", x()), logic.R("E", x(), y())))},
+		{"probe-const", logic.MustQuery(vs("x"), nil, logic.Conj(logic.R("Reg", x()), logic.R("E", x(), logic.Const("a"))))},
+		{"probe-dup", logic.MustQuery(vs("x", "y"), nil,
+			logic.Conj(logic.R("Reg", x()), logic.R("E", x(), y()), logic.R("E", y(), y())))},
+		{"probe-two-cols", logic.MustQuery(vs("x", "y"), nil, logic.Conj(logic.R("Reg2", x(), y()), logic.R("E", x(), y())))},
+		{"probe-chain", logic.MustQuery(vs("x", "y", "z"), nil,
+			logic.Conj(logic.R("Reg", x()), logic.R("E", x(), y()), logic.R("E", y(), z()), logic.R("A", z())))},
+		{"probe-filters", logic.MustQuery(vs("x", "y"), nil,
+			logic.Conj(logic.R("Reg", x()), logic.R("E", x(), y()), logic.NeqT(x(), y()), &logic.Not{F: logic.R("A", y())}))},
+		{"probe-fixpoint-stage", logic.MustQuery(vs("x", "y"), nil, logic.Conj(logic.R("Reg", x()), probeFix))},
+	}
+	probeEnvs := map[string]*eval.Env{
+		"wide":  wideEnv(wideInstance()),
+		"empty": wideEnv(emptyInstance()),
+	}
+	for _, tc := range probeCases {
+		for ename, env := range probeEnvs {
+			t.Run(tc.name+"/"+ename, func(t *testing.T) { diff(t, tc.q, env) })
+		}
+	}
+}
+
+// wideInstance has an E of a few hundred edges over 100 values, some of
+// them self-loops and some into the constant "a", and an A of 30 values
+// (every third one from v01).
+func wideInstance() *relation.Instance {
+	inst := emptyInstance()
+	val := func(i int) string { return fmt.Sprintf("v%02d", i%100) }
+	for i := 0; i < 300; i++ {
+		inst.Add("E", val(i), val(i*7+3+i/100))
+	}
+	for i := 0; i < 100; i += 10 {
+		inst.Add("E", val(i), val(i))
+		inst.Add("E", val(i+1), "a")
+	}
+	for i := 0; i < 30; i++ {
+		inst.Add("A", val(i*3+1))
+	}
+	return inst
+}
+
+// wideEnv binds the one- and two-column registers the probe cases join
+// from: Reg = {v01, v10}, Reg2 = {(v01,v10), (v02,v99)}; (v01,v10) is an
+// edge of wideInstance.
+func wideEnv(inst *relation.Instance) *eval.Env {
+	return eval.NewEnv(inst).
+		WithRelation("Reg", relation.FromRows([]string{"v01"}, []string{"v10"})).
+		WithRelation("Reg2", relation.FromRows([]string{"v01", "v10"}, []string{"v02", "v99"}))
 }
 
 func TestPlanExtraRelationShadowing(t *testing.T) {
@@ -191,41 +259,95 @@ func TestPlanCancellation(t *testing.T) {
 	if _, err := p.Eval(env); err == nil {
 		t.Fatal("canceled context should abort evaluation")
 	}
-}
 
-// TestPlanConcurrentEval: one compiled plan is safe for concurrent use.
-func TestPlanConcurrentEval(t *testing.T) {
-	env := eval.NewEnv(graphInstance())
-	q := logic.MustQuery(vs("x"), vs("y"), tcFix("S", x(), y(), x(), y()))
-	p, err := plan.Compile(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Eval(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := p.Eval(env)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !got.Equal(want) {
-				errs[i] = errMismatch
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	// A cancellation that lands after the up-front check must be seen by
+	// the probe join's sampled ticks: Reg holds one value with 1000
+	// E-edges out of it, far more than the 1-in-256 tick sampling needs.
+	t.Run("probe", func(t *testing.T) {
+		s := relation.NewSchema().MustDeclare("E", 2)
+		inst := relation.NewInstance(s)
+		for i := 0; i < 1000; i++ {
+			inst.Add("E", "a", fmt.Sprint(i))
+			inst.Add("E", "b", fmt.Sprint(i))
+		}
+		ctx := &cancelAfterFirstCheck{Context: context.Background()}
+		env := eval.NewEnv(inst).WithRelation("Reg", relation.FromRows([]string{"a"})).
+			WithControl(runctl.New(ctx, runctl.Limits{}))
+		p, err := plan.Compile(logic.MustQuery(vs("x", "y"), nil, logic.Conj(logic.R("Reg", x()), logic.R("E", x(), y()))))
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, err := p.Eval(env)
+		var ce *runctl.ErrCanceled
+		if !errors.As(err, &ce) {
+			t.Fatalf("got %v (result %v), want *runctl.ErrCanceled", err, got)
+		}
+		if got != nil {
+			t.Fatalf("canceled evaluation returned a partial result of %d tuples", got.Len())
+		}
+	})
+}
+
+// cancelAfterFirstCheck is a context that is live on its first Err call
+// and canceled from then on, so Plan.Eval's up-front check passes and
+// only the executor's ticks can observe the cancellation.
+type cancelAfterFirstCheck struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestPlanConcurrentEval: one compiled plan is safe for concurrent use.
+// In the probe case the instance is fresh, so the goroutines race to
+// build E's column index.
+func TestPlanConcurrentEval(t *testing.T) {
+	cases := map[string]struct {
+		q   *logic.Query
+		env *eval.Env
+	}{
+		"fixpoint": {logic.MustQuery(vs("x"), vs("y"), tcFix("S", x(), y(), x(), y())), eval.NewEnv(graphInstance())},
+		"probe": {logic.MustQuery(vs("x", "y", "z"), nil,
+			logic.Conj(logic.R("Reg", x()), logic.R("E", x(), y()), logic.R("E", y(), z()))), wideEnv(wideInstance())},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, err := plan.Compile(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eval.EvalQueryNaive(tc.q, tc.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, 8)
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got, err := p.Eval(tc.env)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					if !got.Equal(want) {
+						errs[i] = errMismatch
+					}
+				}(i)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

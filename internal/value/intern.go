@@ -17,9 +17,11 @@ type Interner struct {
 	vals []V
 }
 
-// NewInterner returns an empty interner.
+// NewInterner returns an empty interner. Its table is not pre-sized:
+// every plan evaluation creates one, and most are rule queries over a
+// one-tuple register that intern a handful of values.
 func NewInterner() *Interner {
-	return &Interner{ids: make(map[V]uint32, 64)}
+	return &Interner{ids: make(map[V]uint32)}
 }
 
 // ID returns the dense id of v, assigning the next free id on first
